@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.bricks.layout import BrickDims
+from repro.codegen.cost import ProgramCost
 from repro.codegen.vector_ir import (
     Add,
     Init,
@@ -76,10 +77,16 @@ class CodegenOptions:
 #: ``VectorProgram`` as immutable after generation.
 _MEMO: Dict[Tuple, VectorProgram] = {}
 
+#: Costs of memoised programs, under the same keys as ``_MEMO``.  The
+#: batch engine fills it so a sweep walks each program's cost model once
+#: per process; it is cleared with ``_MEMO``, so a cold run pays for both.
+COST_MEMO: Dict[Tuple, ProgramCost] = {}
 
-def _memo_key(
+
+def memo_key(
     stencil: Stencil, dims: BrickDims, options: CodegenOptions
 ) -> Tuple:
+    """The key :func:`generate` memoises ``(stencil, dims, options)`` under."""
     return (
         stencil.output,
         stencil.input,
@@ -91,8 +98,9 @@ def _memo_key(
 
 
 def clear_codegen_memo() -> None:
-    """Drop all memoised programs (tests and benchmarks)."""
+    """Drop all memoised programs and their costs (tests and benchmarks)."""
     _MEMO.clear()
+    COST_MEMO.clear()
 
 
 def generate(
@@ -119,7 +127,7 @@ def generate(
         raise CodegenError(f"stencil radius {r} must be smaller than vl {vl}")
     dims.check_radius(r)
 
-    key = _memo_key(stencil, dims, options)
+    key = memo_key(stencil, dims, options)
     memoised = _MEMO.get(key)
     with get_tracer().span(
         "codegen.generate",

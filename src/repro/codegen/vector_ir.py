@@ -176,27 +176,28 @@ class VectorProgram:
     def max_live_registers(self) -> int:
         """Peak number of simultaneously-live virtual registers.
 
-        Computed by a backward liveness scan; a proxy for the register
-        pressure of the generated kernel.
+        Computed by a liveness scan in linear time; a proxy for the
+        register pressure of the generated kernel.  A register dies after
+        the op of its last use (an ``Init`` counts as a use of its
+        accumulator), or after the op defining it if no later op uses it.
         """
         last_use: Dict[str, int] = {}
         for idx, op in enumerate(self.ops):
             for reg in _uses(op):
                 last_use[reg] = idx
-            if isinstance(op, (Mac, Init)):
-                # accumulator stays live through its final use too
-                last_use[op.dst] = max(last_use.get(op.dst, idx), idx)
+            if isinstance(op, Init):
+                last_use[op.dst] = idx
         live: set = set()
+        deaths: Dict[int, List[str]] = {}
         peak = 0
         for idx, op in enumerate(self.ops):
             d = _defines(op)
-            if d is not None:
-                live.add(d)
-            for reg in _uses(op):
-                live.add(reg)
+            for reg in _uses(op) if d is None else (d, *_uses(op)):
+                if reg not in live:
+                    live.add(reg)
+                    deaths.setdefault(max(idx, last_use.get(reg, -1)), []).append(reg)
             peak = max(peak, len(live))
-            dead = {r for r in live if last_use.get(r, -1) <= idx}
-            live -= dead
+            live.difference_update(deaths.pop(idx, ()))
         return peak
 
     def pretty(self, limit: int | None = None) -> str:

@@ -2,27 +2,34 @@
 
 :func:`simulate_batch` evaluates a whole (stencil x platform x variant
 x tile x domain) matrix without running a Python loop of scalar
-:func:`~repro.gpu.simulator.simulate` calls.  Three passes:
+:func:`~repro.gpu.simulator.simulate` calls.  Per-group work runs once
+per group and per-point work runs as array ops or one tight loop:
 
 1. **group resolution** — points sharing a (stencil signature, tile,
-   vector length, strategy, platform, variant) share exactly one
-   codegen + cost-model evaluation (the scalar hot path's dominant
-   cost); the domain axis — the axis a 100k-point sweep actually
-   multiplies — adds *no* groups, so its marginal cost is pure array
-   math;
-2. **vectorised evaluation** — the traffic and timing formulas of
-   :mod:`repro.gpu.traffic` / :mod:`repro.gpu.timing` run as NumPy
-   ``int64``/``float64`` struct-of-arrays ops, replicating the scalar
-   evaluation order *operation for operation*.  Integer quantities stay
-   ``int64`` (exact), float expressions use the same association order
-   as the scalar source, and every per-group scalar with more than one
-   factor (bandwidth denominators, occupancy's ``** 0.5``) is computed
-   once per group in plain Python — so every result float is
-   bit-identical to the scalar path;
-3. **assembly** — results materialise as the same frozen dataclasses
-   the scalar path returns; ``ndarray.tolist()`` hands back native
-   Python ``int``/``float`` objects, so even the *types* of every field
-   match the oracle.
+   vector length, strategy, platform, variant) share one ``_Group``:
+   its program, its cost, the normalised FLOPs per point and every
+   per-group scalar of the formulas.  Costs are memoised beside the
+   codegen memo (``codegen.generator.COST_MEMO``, emptied by
+   ``clear_codegen_memo()``), so ``cost_of`` runs once per program per
+   process, not once per call.  The domain axis — the axis a 100k-point
+   sweep actually multiplies — adds *no* groups;
+2. **tile check** — one ``int64`` domain array per chunk is checked
+   against every point's tile as a single ``%`` op; only the flagged
+   points build the scalar path's ``SimulationError``;
+3. **vectorised evaluation** — the same domain array feeds the traffic
+   and timing formulas of :mod:`repro.gpu.traffic` /
+   :mod:`repro.gpu.timing`, run as NumPy ``int64``/``float64``
+   struct-of-arrays ops that replicate the scalar evaluation order
+   *operation for operation*.  Integer quantities stay ``int64``
+   (exact), float expressions use the same association order as the
+   scalar source, and every per-group scalar with more than one factor
+   (bandwidth denominators, occupancy's ``** 0.5``) is computed once per
+   group in plain Python — so every result float is bit-identical to
+   the scalar path;
+4. **assembly** — one loop zips the chunk, its groups and the evaluated
+   columns into the same frozen dataclasses the scalar path returns;
+   ``ndarray.tolist()`` hands back native Python ``int``/``float``
+   objects, so even the *types* of every field match the oracle.
 
 The scalar path stays the bit-checked oracle: the equivalence suite
 (``tests/test_batch_equivalence.py``) asserts field-by-field equality
@@ -39,7 +46,7 @@ them.  Per-point ``study.point``/``simulate`` spans are a scalar/pool
 feature — at 100k points they *are* the overhead this module removes.
 
 Failure semantics mirror the resilient scalar engine: with
-``capture_failures=True`` a point whose resolution or invariant check
+``capture_failures=True`` a point whose resolution, tile or invariant check
 fails degrades into the same :class:`~repro.resilience.TaskFailure`
 record (same ``error_type``/``message``/``attempts``) that
 ``parallel_map(..., capture_failures=True)`` would produce for it;
@@ -50,14 +57,14 @@ counters of the points a scalar loop would have completed first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bricks.layout import BrickDims
 from repro.codegen.cost import ProgramCost, cost_of
-from repro.codegen.generator import CodegenOptions, generate
-from repro.dsl.analysis import FP64_BYTES, total_flops
+from repro.codegen.generator import COST_MEMO, CodegenOptions, generate, memo_key
+from repro.dsl.analysis import FP64_BYTES
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
 from repro.gpu.progmodel import VARIANTS, Platform
@@ -104,16 +111,6 @@ class BatchPoint:
     vector_length: Optional[int] = None
 
 
-def _stencil_signature(stencil: Stencil) -> Tuple:
-    """The codegen identity of a stencil (same fields the memo keys on)."""
-    return (
-        stencil.output,
-        stencil.input,
-        stencil.ndim,
-        tuple(sorted(stencil.taps.items())),
-    )
-
-
 @dataclass
 class _Group:
     """Everything constant across one (codegen x platform x variant) group.
@@ -124,7 +121,6 @@ class _Group:
     """
 
     index: int
-    stencil: Stencil
     platform: Platform
     cost: ProgramCost
     strategy: str
@@ -133,6 +129,7 @@ class _Group:
     tile_pts: int
     tile_k: int
     radius: int
+    flops_per_point: int  # normalised, as total_flops counts them
     shared_planes: int
     llc_eff: float
     read_amp: float
@@ -160,7 +157,6 @@ class _GroupTable:
         self._by_key: Dict[Tuple, _Group] = {}
         self._fast: Dict[Tuple, _Group] = {}
         self.groups: List[_Group] = []
-        self._cost_by_program: Dict[int, ProgramCost] = {}
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -205,18 +201,13 @@ class _GroupTable:
         vl = point.vector_length or (
             simd if dims.dims[0] % simd == 0 else dims.dims[0]
         )
-        key = (
-            _stencil_signature(point.stencil),
-            dims.dims,
-            vl,
-            strategy,
-            id(platform),
-            point.variant,
-        )
+        options = CodegenOptions(vl, strategy)
+        program_key = memo_key(point.stencil, dims, options)
+        key = (program_key, id(platform), point.variant)
         group = self._by_key.get(key)
         if group is None:
             group = self._build(
-                point.stencil, layout, strategy, dims, vl, platform,
+                point.stencil, layout, program_key, dims, options, platform,
                 point.variant,
             )
             self._by_key[key] = group
@@ -227,17 +218,16 @@ class _GroupTable:
         self,
         stencil: Stencil,
         layout: str,
-        strategy: str,
+        program_key: Tuple,
         dims: BrickDims,
-        vl: int,
+        options: CodegenOptions,
         platform: Platform,
         variant: str,
     ) -> _Group:
-        program = generate(stencil, dims, CodegenOptions(vl, strategy))
-        cost = self._cost_by_program.get(id(program))
+        program = generate(stencil, dims, options)
+        cost = COST_MEMO.get(program_key)
         if cost is None:
-            cost = cost_of(program)
-            self._cost_by_program[id(program)] = cost
+            cost = COST_MEMO[program_key] = cost_of(program)
         arch, profile = platform.arch, platform.profile
         vp = profile.variant(variant)
         r = stencil.radius
@@ -249,7 +239,6 @@ class _GroupTable:
             mem_instr *= cost.vl * vp.scalarized_slots
         return _Group(
             index=len(self.groups),
-            stencil=stencil,
             platform=platform,
             cost=cost,
             strategy=program.strategy,
@@ -258,6 +247,7 @@ class _GroupTable:
             tile_pts=prod(tile_shape),
             tile_k=tile_shape[0],
             radius=r,
+            flops_per_point=stencil.flops_per_point(minimal=True),
             shared_planes=2 * r if layout == "array" else r,
             llc_eff=arch.llc_bytes * profile.llc_utilization,
             read_amp=vp.read_amp,
@@ -283,20 +273,17 @@ class _GroupTable:
         )
 
 
-def _evaluate(
-    chunk: Sequence[BatchPoint],
-    groups: List[Optional[_Group]],
-    ok: List[int],
-    table: _GroupTable,
-) -> Dict[str, list]:
-    """Vectorised traffic + timing over the resolvable chunk points.
+def _evaluate(gidx: np.ndarray, dom: np.ndarray, table: _GroupTable) -> List[list]:
+    """Vectorised traffic + timing over the evaluable chunk points.
 
-    Every expression below replicates the association order of
-    ``traffic._estimate`` / ``timing.kernel_time`` exactly; see the
+    ``gidx`` holds each point's group index and ``dom`` its ``(ni, nj,
+    nk)`` domain.  Returns one column per field, in the positional order
+    of ``Traffic``, then ``TimingBreakdown``, then ``ntiles`` and
+    ``flops``.  Every expression below replicates the association order
+    of ``traffic._estimate`` / ``timing.kernel_time`` exactly; see the
     module docstring for why that makes the floats bit-identical.
     """
     i64, f64 = np.int64, np.float64
-    gidx = np.array([groups[i].index for i in ok], dtype=i64)  # type: ignore[union-attr]
     all_groups = table.groups
 
     def take(field: str, dtype: type = i64) -> np.ndarray:
@@ -304,7 +291,6 @@ def _evaluate(
             [getattr(g, field) for g in all_groups], dtype=dtype
         )[gidx]
 
-    dom = np.array([chunk[i].domain for i in ok], dtype=i64)
     ni, nj, nk = dom[:, 0], dom[:, 1], dom[:, 2]
     n = ni * nj * nk
     r = take("radius")
@@ -339,20 +325,12 @@ def _evaluate(
     ) / take("shuf_den", f64)
     t_issue = (ntiles * take("instr_pt")) / take("issue_den", f64)
 
-    return {
-        "read": read.tolist(),
-        "write": write.tolist(),
-        "extra": extra.tolist(),
-        "load_sectors": load_sectors.tolist(),
-        "store_sectors": store_sectors.tolist(),
-        "l1_bytes": l1_bytes.tolist(),
-        "t_hbm": t_hbm.tolist(),
-        "t_l1": t_l1.tolist(),
-        "t_fp": t_fp.tolist(),
-        "t_shuffle": t_shuffle.tolist(),
-        "t_issue": t_issue.tolist(),
-        "ntiles": ntiles.tolist(),
-    }
+    columns = (
+        read, write, l1_bytes, load_sectors, store_sectors, extra,
+        t_hbm, t_l1, t_fp, t_shuffle, t_issue,
+        ntiles, n * take("flops_per_point"),
+    )
+    return [col.tolist() for col in columns]
 
 
 def _failure(exc: Exception) -> TaskFailure:
@@ -368,30 +346,36 @@ def _failure(exc: Exception) -> TaskFailure:
 def _run_chunk(
     chunk: Sequence[BatchPoint],
     table: _GroupTable,
-    flops_memo: Dict[Tuple, int],
     validate: bool,
     capture: bool,
 ) -> List[Any]:
-    """One chunk: resolve, vectorise, assemble, validate, count."""
-    n = len(chunk)
-    groups: List[Optional[_Group]] = [None] * n
-    errors: List[Optional[Exception]] = [None] * n
-    for i, point in enumerate(chunk):
+    """One chunk: resolve, check tiles, vectorise, assemble, validate, count."""
+    groups: List[Optional[_Group]] = []
+    errors: List[Optional[Exception]] = []
+    for point in chunk:
         try:
-            group = table.resolve(point)
-            domain_np = dims_to_shape(point.domain)
-            if any(d % b != 0 for d, b in zip(domain_np, group.tile_shape)):
-                raise SimulationError(
-                    f"domain {domain_np} is not a multiple of tile "
-                    f"{group.tile_shape}"
-                )
-            groups[i] = group
+            groups.append(table.resolve(point))
+            errors.append(None)
         except Exception as exc:
-            errors[i] = exc
+            groups.append(None)
+            errors.append(exc)
 
-    ok = [i for i in range(n) if errors[i] is None]
-    cols = _evaluate(chunk, groups, ok, table) if ok else {}
-    pos = {i: j for j, i in enumerate(ok)}
+    rows: Iterator[tuple] = iter(())
+    resolved = [i for i, g in enumerate(groups) if g is not None]
+    if resolved:
+        gidx = np.array([g.index for g in groups if g is not None], dtype=np.int64)
+        dom = np.array([chunk[i].domain for i in resolved], dtype=np.int64)
+        shapes = np.array([g.tile_shape for g in table.groups], dtype=np.int64)
+        bad = (dom % shapes[gidx, ::-1]).any(axis=1)
+        if bad.any():
+            for j in np.flatnonzero(bad).tolist():
+                i = resolved[j]
+                errors[i] = SimulationError(
+                    f"domain {dims_to_shape(chunk[i].domain)} is not a "
+                    f"multiple of tile {table.groups[gidx[j]].tile_shape}"
+                )
+            gidx, dom = gidx[~bad], dom[~bad]
+        rows = zip(*_evaluate(gidx, dom, table))
 
     if validate:
         # Imported lazily: repro.validate reaches back into the harness
@@ -411,48 +395,34 @@ def _run_chunk(
         if violation_count:
             counter("simulate.invariant_violations").inc(violation_count)
 
-    for i, point in enumerate(chunk):
-        error = errors[i]
+    for point, group, error in zip(chunk, groups, errors):
         if error is None:
-            j = pos[i]
-            group = groups[i]
             assert group is not None
+            (
+                read, write, l1_bytes, load_sectors, store_sectors, extra,
+                t_hbm, t_l1, t_fp, t_shuffle, t_issue, ntiles, flops,
+            ) = next(rows)
             name = point.stencil_name or point.stencil.description()
-            flops_key = (id(group.stencil), point.domain)
-            flops = flops_memo.get(flops_key)
-            if flops is None:
-                flops = total_flops(group.stencil, point.domain)
-                flops_memo[flops_key] = flops
             result = SimulationResult(
-                platform=group.platform,
-                variant=point.variant,
-                stencil_name=name,
-                domain=point.domain,
-                flops=flops,
-                traffic=Traffic(
-                    hbm_read_bytes=cols["read"][j],
-                    hbm_write_bytes=cols["write"][j],
-                    l1_bytes=cols["l1_bytes"][j],
-                    load_sectors=cols["load_sectors"][j],
-                    store_sectors=cols["store_sectors"][j],
-                    reuse_miss_bytes=cols["extra"][j],
+                group.platform,
+                point.variant,
+                name,
+                point.domain,
+                flops,
+                Traffic(
+                    read, write, l1_bytes, load_sectors, store_sectors, extra
                 ),
-                timing=TimingBreakdown(
-                    t_hbm=cols["t_hbm"][j],
-                    t_l1=cols["t_l1"][j],
-                    t_fp=cols["t_fp"][j],
-                    t_shuffle=cols["t_shuffle"][j],
-                    t_issue=cols["t_issue"][j],
-                    launch_overhead=group.launch,
-                    occupancy=group.occ,
+                TimingBreakdown(
+                    t_hbm, t_l1, t_fp, t_shuffle, t_issue,
+                    group.launch, group.occ,
                 ),
-                cost=group.cost,
-                strategy=group.strategy,
+                group.cost,
+                group.strategy,
             )
             # The scalar path bumps these before its invariant check, so
             # a violating point still counts a simulate() call.
             calls += 1
-            tiles += cols["ntiles"][j]
+            tiles += ntiles
             vector_ops += group.ops
             if validate:
                 violations = check_result(result)
@@ -463,10 +433,7 @@ def _run_chunk(
                         f"{name}/{group.platform.name}/{point.variant}:\n"
                         + render_violations(violations)
                     )
-                else:
-                    out.append(result)
-                    continue
-            else:
+            if error is None:
                 out.append(result)
                 continue
         if capture:
@@ -513,7 +480,6 @@ def simulate_batch(
     points = list(points)
     validate = _validate_enabled(check_invariants)
     table = _GroupTable()
-    flops_memo: Dict[Tuple, int] = {}
     chunk_size = max(1, chunk_size)
     nchunks = ceil_div(len(points), chunk_size) if points else 0
     results: List[Any] = []
@@ -526,9 +492,7 @@ def simulate_batch(
         for start in range(0, len(points), chunk_size):
             chunk = points[start:start + chunk_size]
             with span("sweep.chunk", n=len(chunk), offset=start):
-                chunk_out = _run_chunk(
-                    chunk, table, flops_memo, validate, capture_failures
-                )
+                chunk_out = _run_chunk(chunk, table, validate, capture_failures)
             for i, result in enumerate(chunk_out):
                 results.append(result)
                 if on_result is not None:

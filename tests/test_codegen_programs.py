@@ -4,9 +4,20 @@ import pytest
 
 from repro.bricks import BrickDims
 from repro.codegen import CodegenOptions, cost_of, generate
-from repro.codegen.vector_ir import Load, Shift
+from repro.codegen.vector_ir import (
+    Add,
+    Init,
+    Load,
+    Mac,
+    Shift,
+    Store,
+    VectorProgram,
+    _defines,
+    _uses,
+)
 from repro.dsl import by_name, cube, star
-from repro.errors import CodegenError
+from repro.errors import CodegenError, LayoutError
+from repro.harness import STENCIL_NAMES
 
 DIMS = BrickDims((16, 4, 4))  # bi=16, bj=4, bk=4
 
@@ -166,3 +177,59 @@ class TestProgramInvariants:
         prog = gen(star(1), "gather")
         text = prog.pretty(limit=10)
         assert "gather" in text and "load" in text and "more ops" in text
+
+
+def quadratic_max_live(prog):
+    """Reference liveness: rescan the whole live set after every op."""
+    last_use = {}
+    for idx, op in enumerate(prog.ops):
+        for reg in _uses(op):
+            last_use[reg] = idx
+        if isinstance(op, (Mac, Init)):
+            last_use[op.dst] = max(last_use.get(op.dst, idx), idx)
+    live, peak = set(), 0
+    for idx, op in enumerate(prog.ops):
+        d = _defines(op)
+        if d is not None:
+            live.add(d)
+        live.update(_uses(op))
+        peak = max(peak, len(live))
+        live -= {r for r in live if last_use.get(r, -1) <= idx}
+    return peak
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("simd", [8, 16, 32, 64])
+    @pytest.mark.parametrize("name", STENCIL_NAMES)
+    def test_linear_scan_matches_quadratic_reference(self, name, simd):
+        stencil = by_name(name).build()
+        dims = BrickDims((simd, 4, 4))
+        checked = 0
+        for strategy in ("naive", "gather", "scatter", "auto"):
+            for vl in (simd, simd // 2):
+                try:
+                    prog = generate(stencil, dims, CodegenOptions(vl, strategy))
+                except (CodegenError, LayoutError):
+                    continue  # combinations generate() rejects have no program
+                assert prog.max_live_registers() == quadratic_max_live(prog)
+                checked += 1
+        assert checked > 0
+
+    def test_dead_definition_and_redefinition(self):
+        # A never-read load dies at its own op, and so does a name
+        # redefined after its last read: neither may linger and inflate
+        # the peak of the three-register tail (c, d, e).
+        ops = [
+            Load("a", 0, 0, 0, "aligned"),
+            Load("unused", 0, 0, 0, "aligned"),
+            Init("acc"),
+            Mac("acc", "a", None),
+            Store("acc", 0, 0, 0),
+            Load("a", 0, 0, 0, "aligned"),
+            Load("c", 0, 0, 0, "aligned"),
+            Load("d", 0, 0, 0, "aligned"),
+            Add("e", "c", "d"),
+            Store("e", 0, 0, 1),
+        ]
+        prog = VectorProgram(ops, (1, 1, 4), 0, 2, "gather")
+        assert prog.max_live_registers() == quadratic_max_live(prog) == 3
