@@ -42,7 +42,7 @@ artifact (Tables 2–5, Figure 3–7 series, EXPERIMENTS.md, drift vs the
 golden baseline); with ``--results-db`` it renders from the store's
 reconstruction, byte-identical to the direct path.
 
-Sweeps and tuning searches accept ``--jobs N`` (worker processes;
+Sweeps accept ``--jobs N`` (worker processes for fault-injected points;
 ``$REPRO_JOBS`` supplies a default, 0 means one per CPU) and the
 sweep-rendering commands accept ``--cache-dir [DIR]`` to persist and
 reuse study results across invocations (``$REPRO_CACHE_DIR`` supplies a
@@ -62,6 +62,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -73,7 +74,6 @@ from repro.errors import ObservabilityError
 from repro.codegen import CodegenOptions, generate
 from repro.codegen.emitters import CPU_ISAS, MODELS, emit as emit_source
 from repro.dsl.shapes import by_name, catalog
-from repro.exec import DISPATCH_MODES
 from repro.gpu.progmodel import PROFILES, VARIANTS, platform
 from repro.profiling import profile as collect_profile
 from repro.resilience import FaultPlan, RetryPolicy
@@ -84,6 +84,16 @@ from repro.tuning import Autotuner
 #: to recover, and a dev flag should never wedge a terminal).
 INJECT_RAISE_RATE = 0.06
 INJECT_CORRUPT_RATE = 0.03
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for ``--task-timeout``: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds, got {text!r}"
+        )
+    return value
 
 
 def _retry_policy(args) -> Optional[RetryPolicy]:
@@ -125,7 +135,6 @@ def _cached_study(args):
         retry_policy=_retry_policy(args),
         fault_plan=_fault_plan(args),
         resume=args.resume,
-        dispatch=args.dispatch,
         results_db=args.results_db,
     )
 
@@ -294,7 +303,7 @@ def _tune(args) -> int:
     case = by_name(args.stencil)
     plat = platform(args.arch, args.model)
     outcome = Autotuner().tune(
-        case.build(), plat, stencil_name=case.name, jobs=args.jobs,
+        case.build(), plat, stencil_name=case.name,
         policy=_retry_policy(args),
     )
     print(f"best configuration for {case.name} on {plat.name}:")
@@ -606,7 +615,7 @@ def _client(args) -> int:
     """One REST interaction with a running study server.
 
     The resilience flags from the common parent (``--retries``,
-    ``--task-timeout``, ``--inject-faults``, ``--dispatch``) become the
+    ``--task-timeout``, ``--inject-faults``) become the
     submitted job's per-job options rather than local settings.
     """
     from repro.serve import BackpressureError, ServeClient
@@ -620,8 +629,6 @@ def _client(args) -> int:
         options["task_timeout"] = args.task_timeout
     if args.inject_faults is not None:
         options["inject_faults"] = args.inject_faults
-    if args.dispatch is not None:
-        options["dispatch"] = args.dispatch
     if args.sleep_s:
         options["sleep_s"] = args.sleep_s
 
@@ -700,14 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for sweeps and tuning (default: $REPRO_JOBS "
-        "or serial; 0 = one per CPU)",
-    )
-    common.add_argument(
-        "--dispatch", default=None, choices=DISPATCH_MODES,
-        help="force the sweep execution engine (default: auto — "
-        "vectorized batch for large/parallel sweeps, serial otherwise; "
-        "pool = per-point worker processes)",
+        help="worker processes for a sweep's fault-injected points "
+        "(default: $REPRO_JOBS or serial; 0 = one per CPU)",
     )
     common.add_argument(
         "--cache-dir", nargs="?", const=harness.default_cache_dir(),
@@ -722,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
         "are never retried)",
     )
     common.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_finite_float, default=None,
+        metavar="SECONDS",
         help="kill any single task exceeding this wall-clock deadline "
         "(default: no deadline); timed-out points degrade to FAILED "
         "entries instead of wedging the sweep",
@@ -859,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "metric",
         help="measurement name, e.g. span.run_study.total_s, "
-        "run.duration_s, gate.sweep.speedup",
+        "run.duration_s, gate.batch.points_per_s_90",
     )
     q.add_argument(
         "--window", type=int, default=obs.DEFAULT_WINDOW, metavar="N",

@@ -1,9 +1,12 @@
-"""``repro.exec`` — the parallel execution engine.
+"""``repro.exec`` — study-point evaluation and the process pool.
 
-A chunked process-pool map (:func:`parallel_map`) with deterministic
-result merge and worker-side tracer/metric capture, plus the
-module-level worker functions the sweep and tuner dispatch.  Serial
-execution (``jobs <= 1``, the default) bypasses the pool entirely.
+Analytic study points run as one batch call through
+:func:`map_study_points` (and, fused across serving tenants,
+:func:`microbatch_study_points`).  Points carrying an injected fault run
+through :func:`parallel_map`: a chunked process-pool map with
+deterministic result merge, worker-side tracer/metric capture and a
+measured break-even fallback to the serial loop.  ``jobs <= 1`` (the
+default) bypasses the pool entirely.
 
 Fault tolerance — retries, per-task timeouts, graceful degradation,
 and fault injection — comes from :mod:`repro.resilience`; the policy
@@ -11,11 +14,7 @@ and failure types are re-exported here for convenience.
 """
 
 from repro.exec.dispatch import (
-    DISPATCH_MODES,
-    VECTORIZE_MIN_POINTS,
-    DispatchDecision,
     break_even_points,
-    choose_dispatch,
     clear_cost_model,
     map_study_points,
     microbatch_study_points,
@@ -31,7 +30,6 @@ from repro.exec.pool import (
 )
 from repro.exec.workers import (
     StudyItem,
-    evaluate_candidate,
     simulate_point,
     study_item_key,
     validate_simulation,
@@ -39,10 +37,7 @@ from repro.exec.workers import (
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, TaskFailure
 
 __all__ = [
-    "DISPATCH_MODES",
     "JOBS_ENV",
-    "VECTORIZE_MIN_POINTS",
-    "DispatchDecision",
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
@@ -50,9 +45,7 @@ __all__ = [
     "TaskFailure",
     "break_even_points",
     "capture_counters",
-    "choose_dispatch",
     "clear_cost_model",
-    "evaluate_candidate",
     "map_study_points",
     "merge_observations",
     "microbatch_study_points",

@@ -1,7 +1,9 @@
 """Process-pool parallel map with observability re-aggregation.
 
-The execution engine behind ``run_study(..., parallel=N)`` and
-``Autotuner.tune(..., jobs=N)``.  Design points:
+The scalar engine behind ``run_study(..., parallel=N)``: it runs the
+study's fault-injected points under the retry policy (clean points go
+through the batch engine, :func:`repro.exec.map_study_points`).  Design
+points:
 
 * **chunked distribution** — the item list is split into contiguous
   chunks (several per worker, for load balancing) and each chunk is one
@@ -18,7 +20,9 @@ The execution engine behind ``run_study(..., parallel=N)`` and
   ``simulate.calls`` and the ``study.point`` span tree look identical
   whether the sweep ran in-process or across four workers;
 * **serial fallback** — ``jobs <= 1`` (the default) runs the plain list
-  comprehension in-process: no pool, no capture, no behaviour change.
+  comprehension in-process: no pool, no capture, no behaviour change;
+  a ``jobs > 1`` request below the measured break-even size does too
+  (see :mod:`repro.exec.dispatch`).
 
 ``jobs=None`` consults the ``REPRO_JOBS`` environment variable (the CLI
 ``--jobs`` flag overrides it); ``jobs=0`` means one worker per CPU.
@@ -33,6 +37,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro import obs
 from repro.errors import ExecutionError, TaskTimeoutError
+from repro.exec.dispatch import (
+    PROBE_ITEMS,
+    break_even_points,
+    observed_cost,
+    record_cost,
+)
 from repro.obs.export import span_to_dict, spans_from_dicts
 from repro.obs.metrics import Counter
 from repro.resilience.policy import (
@@ -212,7 +222,6 @@ def parallel_map(
     policy: Optional[RetryPolicy] = None,
     capture_failures: bool = False,
     on_result: Optional[Callable[[int, Any], None]] = None,
-    auto_fallback: bool = True,
 ) -> List[Any]:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
@@ -235,35 +244,30 @@ def parallel_map(
       strict input order as results arrive (per item when serial, per
       merged chunk when parallel) — the checkpoint hook.
 
-    Break-even fallback (``auto_fallback``, on by default; see
-    :mod:`repro.exec.dispatch`): a ``jobs > 1`` request only actually
-    pays the pool's startup cost when the measured per-item cost says
-    the pool will win.  With a recorded cost estimate below the
-    break-even size the whole map runs serially (counted as
-    ``exec.dispatch.serial_fallback``); with no estimate yet the first
-    few items run serially as a probe and the live measurement decides.
-    Serial runs (including probes) feed the cost model.  Results are
-    identical either way — only the execution venue changes.  Pass
-    ``auto_fallback=False`` to force the pool exactly as requested
-    (benchmarks, pool-behaviour tests).
+    Break-even fallback (see :mod:`repro.exec.dispatch`): a ``jobs > 1``
+    request only actually pays the pool's startup cost when the
+    measured per-item cost says the pool will win.  With a recorded
+    cost estimate below the break-even size the whole map runs serially
+    (counted as ``exec.dispatch.serial_fallback``); with no estimate yet
+    the first few items run serially as a probe and the live
+    measurement decides.  Serial runs (including probes) feed the cost
+    model.  Results are identical either way — only the execution venue
+    changes.
 
     Without those options, exceptions raised by ``fn`` propagate
     unchanged; observations from chunks that completed before the
     failure are still merged.
     """
-    # Local import: dispatch imports resolve_jobs from this module.
-    from repro.exec import dispatch as _dispatch
-
     items = list(items)
     jobs = resolve_jobs(jobs)
     fallback = None
     probe = 0
-    if jobs > 1 and len(items) > 1 and auto_fallback:
-        estimate = _dispatch.observed_cost(fn)
+    if jobs > 1 and len(items) > 1:
+        estimate = observed_cost(fn)
         if estimate is None:
-            probe = min(_dispatch.PROBE_ITEMS, len(items))
+            probe = min(PROBE_ITEMS, len(items))
         else:
-            break_even = _dispatch.break_even_points(estimate, jobs)
+            break_even = break_even_points(estimate, jobs)
             if break_even != float("inf"):
                 obs.gauge("exec.dispatch.break_even_n").set(break_even)
             if len(items) < break_even:
@@ -287,8 +291,8 @@ def parallel_map(
             _run_serial(
                 fn, items, policy, capture_failures, on_result, results
             )
-            if auto_fallback and items:
-                _dispatch.record_cost(
+            if items:
+                record_cost(
                     fn, (time.perf_counter() - t0) / len(items)
                 )
             return results
@@ -305,8 +309,8 @@ def parallel_map(
                 results,
             )
             per_item = (time.perf_counter() - t0) / probe
-            _dispatch.record_cost(fn, per_item)
-            break_even = _dispatch.break_even_points(per_item, jobs)
+            record_cost(fn, per_item)
+            break_even = break_even_points(per_item, jobs)
             if break_even != float("inf"):
                 obs.gauge("exec.dispatch.break_even_n").set(break_even)
             if sp is not None:

@@ -1,10 +1,9 @@
 """Module-level worker functions for the process-pool engine.
 
-Pool tasks are pickled by reference, so the functions the sweep and the
-tuner dispatch must live at module scope.  Each worker opens the same
-spans the serial code path does (``study.point`` / ``tune.candidate``),
-so a parallel run's adopted trace is indistinguishable from a serial
-one.
+Pool tasks are pickled by reference, so the function the sweep maps
+over fault-injected points must live at module scope.  Each worker
+opens the same ``study.point`` span the serial loop does, so a parallel
+run's adopted trace is indistinguishable from a serial one.
 
 Work items carry the actual :class:`~repro.dsl.stencil.Stencil` and
 :class:`~repro.gpu.progmodel.Platform` objects (both are small frozen
@@ -16,20 +15,16 @@ inputs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import Any, Tuple
 
 from repro.dsl.stencil import Stencil
 from repro.gpu.progmodel import Platform
 from repro.gpu.simulator import SimulationResult, simulate
 from repro.obs import span
 
-if TYPE_CHECKING:  # import cycle: tuning.search itself uses this module
-    from repro.tuning.space import TuningPoint
-
 __all__ = [
     "StudyItem",
     "simulate_point",
-    "evaluate_candidate",
     "study_item_key",
     "validate_simulation",
 ]
@@ -72,27 +67,4 @@ def simulate_point(item: StudyItem) -> SimulationResult:
     ):
         return simulate(
             stencil, variant, platform, domain=domain, stencil_name=name
-        )
-
-
-def evaluate_candidate(
-    point: "TuningPoint",
-    *,
-    stencil: Stencil,
-    variant: str,
-    platform: Platform,
-    domain: Tuple[int, int, int],
-    stencil_name: str | None,
-) -> SimulationResult:
-    """Simulate one tuning-space candidate (dispatched via partial)."""
-    dims = point.brick_dims()
-    with span("tune.candidate", point=point.label()):
-        return simulate(
-            stencil,
-            variant,
-            platform,
-            domain=domain,
-            stencil_name=stencil_name,
-            dims=dims,
-            vector_length=point.vector_length,
         )

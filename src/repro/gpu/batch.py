@@ -31,19 +31,22 @@ per group and per-point work runs as array ops or one tight loop:
    ``ndarray.tolist()`` hands back native Python ``int``/``float``
    objects, so even the *types* of every field match the oracle.
 
-The scalar path stays the bit-checked oracle: the equivalence suite
-(``tests/test_batch_equivalence.py``) asserts field-by-field equality
-across dispatch modes, and the bench gate re-checks the full 90-point
-study against the oracle on every run.
+This is the one engine every analytic sweep runs on: the study
+(:func:`repro.harness.run_study`), the serving layer's micro-batches and
+the autotuner.  The scalar path stays the bit-checked oracle: the
+equivalence suite (``tests/test_batch_equivalence.py``) asserts
+field-by-field equality against a scalar loop, and the bench gate
+re-checks the full 90-point study against the oracle on every run.
 
-Observability: one ``sweep.batch`` span (with ``dispatch``/``points``/
-``groups``/``chunks`` attrs) wraps the evaluation, one ``sweep.chunk``
-span per chunk, and the per-point counters (``simulate.calls``,
+Observability: one ``sweep.batch`` span (with ``points``/``groups``/
+``chunks`` attrs) wraps the evaluation, one ``sweep.chunk`` span per
+chunk, and the per-point counters (``simulate.calls``,
 ``simulate.tiles``, ``codegen.vector_ops``, and
 ``simulate.invariant_violations`` under ``REPRO_VALIDATE``) are bumped
 by exactly the amounts a scalar loop over the same points would bump
-them.  Per-point ``study.point``/``simulate`` spans are a scalar/pool
-feature — at 100k points they *are* the overhead this module removes.
+them.  Per-point ``study.point``/``simulate`` spans belong to the
+scalar path (a study's fault-injected points) — at 100k points they
+*are* the overhead this module removes.
 
 Failure semantics mirror the resilient scalar engine: with
 ``capture_failures=True`` a point whose resolution, tile or invariant check
@@ -454,7 +457,6 @@ def simulate_batch(
     capture_failures: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
     on_result: Optional[Callable[[int, Any], None]] = None,
-    dispatch: str = "vectorized",
 ) -> List[Any]:
     """Simulate a matrix of points; bit-identical to a scalar loop.
 
@@ -468,14 +470,12 @@ def simulate_batch(
     ``check_invariants`` mirrors :func:`~repro.gpu.simulator.simulate`
     (``None`` defers to ``REPRO_VALIDATE``); ``on_result`` is called as
     ``(index, result)`` in input order as each chunk completes — the
-    checkpoint hook; ``dispatch`` labels the ``sweep.batch`` span with
-    the dispatch mode that routed here.
+    checkpoint hook.
 
     Retry policies do not apply inside the batch: the evaluation is
     deterministic pure math, so a transient fault can only come from the
-    environment — points carrying injected fault specs are routed
-    through the scalar engine by
-    :func:`repro.exec.dispatch.map_study_points` instead.
+    environment — :func:`repro.harness.run_study` routes points carrying
+    injected fault specs through the scalar engine instead.
     """
     points = list(points)
     validate = _validate_enabled(check_invariants)
@@ -486,7 +486,6 @@ def simulate_batch(
     with span(
         "sweep.batch",
         points=len(points),
-        dispatch=dispatch,
         chunks=nchunks,
     ) as sp:
         for start in range(0, len(points), chunk_size):

@@ -6,10 +6,12 @@ paper's matrix — six stencils (Table 2), five platform columns
 variants — on the 512^3 domain, and returns a :class:`StudyResults`
 that every table and figure renderer consumes.
 
-The sweep is fault tolerant (see :mod:`repro.resilience`): tasks run
-under a retry policy, permanently failed matrix points degrade into
-structured :class:`FailedPoint` entries instead of killing the study,
-and — when a cache directory is given — completed points are
+The sweep runs on one engine, the batch simulator
+(:func:`repro.gpu.simulate_batch`); only fault-injected points take the
+scalar path.  It is fault tolerant (see :mod:`repro.resilience`):
+injected faults run under a retry policy, failed matrix points degrade
+into structured :class:`FailedPoint` entries instead of killing the
+study, and — when a cache directory is given — completed points are
 periodically checkpointed so an interrupted or partially-failed run can
 ``resume`` with zero recomputation.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
@@ -26,9 +28,9 @@ from repro.errors import MetricError
 from repro.exec import (
     RetryPolicy,
     TaskFailure,
-    choose_dispatch,
     map_study_points,
     parallel_map,
+    resolve_jobs,
     simulate_point,
     study_item_key,
     validate_simulation,
@@ -289,25 +291,21 @@ def run_study(
     cache_dir: Optional[str] = None,
     resume: bool = False,
     checkpoint_every: int = CHECKPOINT_EVERY,
-    dispatch: Optional[str] = None,
     results_db: Optional[str] = None,
 ) -> StudyResults:
-    """Simulate the full matrix; deterministic, a few seconds of work.
+    """Simulate the full matrix; deterministic, well under a second.
 
-    ``parallel`` is the worker-process count for the sweep (``None``
-    consults ``$REPRO_JOBS``; ``<= 1`` runs serially in-process; ``0``
-    means one worker per CPU).  Results and counters are identical at
-    any job count and in any dispatch mode; see below for the trace.
-
-    ``dispatch`` pins the execution engine (``"serial"`` |
-    ``"vectorized"`` | ``"pool"``); ``None`` lets
-    :func:`repro.exec.choose_dispatch` pick — small single-job sweeps
-    stay serial (keeping the per-point span tree), anything larger or
-    parallel goes through the batch-vectorized engine
-    (:func:`repro.gpu.simulate_batch`), which is bit-identical to the
-    scalar path and orders of magnitude faster per point.  Pool runs
-    trace per-point spans adopted from workers; vectorized runs trace a
-    ``sweep.batch`` span with per-chunk children instead.
+    Every clean pending point is evaluated by ONE batch call
+    (:func:`repro.exec.map_study_points` over
+    :func:`repro.gpu.simulate_batch`), which is bit-identical to the
+    scalar :func:`~repro.gpu.simulator.simulate` path and traces a
+    ``sweep.batch`` span with per-chunk children.  Points carrying a
+    ``fault_plan`` entry run afterwards through the scalar engine,
+    :func:`repro.exec.parallel_map`, under the retry policy; they trace
+    per-point ``study.point`` spans.  ``parallel`` is the worker-process
+    count for those points (``None`` consults ``$REPRO_JOBS``; ``<= 1``
+    runs them serially in-process; ``0`` means one worker per CPU).
+    Results and counters are identical at any job count.
 
     Fault tolerance:
 
@@ -367,15 +365,26 @@ def run_study(
     pending = [it for it in items if study_item_key(it) not in done]
     pending_keys = [study_item_key(it) for it in pending]
     policy = (policy or RetryPolicy()).with_validate(validate_simulation)
-    decision = choose_dispatch(len(pending), parallel, forced=dispatch)
+    jobs = resolve_jobs(parallel)
+    # Fault-injected points need the scalar retry path; the rest batch.
+    faulty = [
+        i for i, key in enumerate(pending_keys)
+        if fault_plan is not None and fault_plan.spec_for(key) is not None
+    ]
+    faulty_set = set(faulty)
+    clean = [i for i in range(len(pending)) if i not in faulty_set]
+    outcomes: List[object] = [None] * len(pending)
 
-    on_result = None
-    if cache_dir:
-        checkpoint = dict(done)
-        flush_state = {"fresh": 0}
+    checkpoint = dict(done)
+    flush_state = {"fresh": 0}
 
-        def on_result(index: int, result: object) -> None:
-            if isinstance(result, TaskFailure):
+    def routed(indices: List[int]) -> Callable[[int, object], None]:
+        """An ``on_result`` hook for a sub-list of ``pending``."""
+
+        def on_result(j: int, result: object) -> None:
+            index = indices[j]
+            outcomes[index] = result
+            if not cache_dir or isinstance(result, TaskFailure):
                 return
             checkpoint[pending_keys[index]] = result
             flush_state["fresh"] += 1
@@ -385,37 +394,27 @@ def run_study(
                 )
                 flush_state["fresh"] = 0
 
+        return on_result
+
     with span(
         "run_study",
         points=len(items),
-        jobs=decision.jobs,
+        jobs=jobs,
         resumed=len(done),
-        dispatch=decision.mode,
     ) as sp:
         study.results.update(done)
-        if decision.mode == "vectorized":
-            outcomes = map_study_points(
-                pending,
-                policy=policy,
-                fault_plan=fault_plan,
-                on_result=on_result,
+        if clean:
+            map_study_points(
+                [pending[i] for i in clean], on_result=routed(clean)
             )
-        else:
-            fn = (
-                simulate_point
-                if fault_plan is None
-                else fault_plan.wrap(simulate_point, key_fn=study_item_key)
-            )
-            outcomes = parallel_map(
-                fn,
-                pending,
-                jobs=1 if decision.mode == "serial" else decision.jobs,
+        if faulty:
+            parallel_map(
+                fault_plan.wrap(simulate_point, key_fn=study_item_key),
+                [pending[i] for i in faulty],
+                jobs=jobs,
                 policy=policy,
                 capture_failures=True,
-                on_result=on_result,
-                # A forced pool must actually pool (benchmarks pin it);
-                # an auto choice keeps the engine's break-even fallback.
-                auto_fallback=dispatch != "pool",
+                on_result=routed(faulty),
             )
         for key, outcome in zip(pending_keys, outcomes):
             if isinstance(outcome, TaskFailure):
@@ -492,7 +491,6 @@ def cached_study(
     retry_policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     resume: bool = False,
-    dispatch: Optional[str] = None,
     results_db: Optional[str] = None,
 ) -> StudyResults:
     """Memoised :func:`run_study`: one sweep per config per process.
@@ -549,7 +547,6 @@ def cached_study(
                     fault_plan=fault_plan,
                     cache_dir=cache_dir,
                     resume=resume,
-                    dispatch=dispatch,
                     results_db=results_db,
                 )
                 if cache_dir and study.complete:

@@ -145,7 +145,7 @@ def git_state(cwd: Optional[str] = None) -> Tuple[str, bool]:
 
 @dataclass(frozen=True)
 class GateResult:
-    """One named bench-gate outcome (e.g. ``sweep.speedup`` = 2.1, pass)."""
+    """One named bench-gate outcome (e.g. ``cachesim.speedup`` = 8.0, pass)."""
 
     name: str
     value: float

@@ -25,14 +25,15 @@ Dedup identity: a job's :attr:`Job.config_hash` is the *existing*
 persistent-study-cache key (:func:`repro.harness.study_cache_key`), so
 the service's shared result store and the on-disk cache the CLI already
 writes speak the same language.  Only *clean* jobs — no injected
-faults, no synthetic service time — take part in dedup: a chaos job's
-degraded result must never be served to a tenant who asked for the real
-study.
+faults, no synthetic service time — take part in dedup and in the
+orchestrator's micro-batching: a chaos job's degraded result must never
+be served to a tenant who asked for the real study.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -94,11 +95,11 @@ class JobOptions:
     ``retries``/``task_timeout`` build the job's
     :class:`~repro.resilience.RetryPolicy`; ``inject_faults`` is a
     chaos seed (the same deterministic :class:`FaultPlan` the CLI's
-    ``--inject-faults`` uses); ``dispatch`` pins the sweep engine; and
-    ``sleep_s`` adds synthetic service time — a dev/test knob that makes
-    backpressure drills deterministic (a sleeping job occupies a worker
-    for exactly that long before the study runs); and ``drill_exit`` is
-    the poison pill — a process-backend worker running such a job calls
+    ``--inject-faults`` uses); ``sleep_s`` adds synthetic service time
+    — a dev/test knob that makes backpressure drills deterministic (a
+    sleeping job occupies a worker for exactly that long before the
+    study runs); and ``drill_exit`` is the poison pill — a
+    process-backend worker running such a job calls
     ``os._exit(drill_exit)`` instead of simulating, which is how the
     chaos drill exercises crash-requeue and quarantine (the thread
     backend fails the job gracefully instead, since a thread cannot be
@@ -108,7 +109,6 @@ class JobOptions:
     retries: Optional[int] = None
     task_timeout: Optional[float] = None
     inject_faults: Optional[int] = None
-    dispatch: Optional[str] = None
     sleep_s: float = 0.0
     drill_exit: Optional[int] = None
 
@@ -116,18 +116,27 @@ class JobOptions:
         "retries",
         "task_timeout",
         "inject_faults",
-        "dispatch",
         "sleep_s",
         "drill_exit",
     )
 
     def __post_init__(self) -> None:
-        from repro.exec import DISPATCH_MODES
-
-        if self.dispatch is not None and self.dispatch not in DISPATCH_MODES:
+        for name in ("retries", "inject_faults", "drill_exit"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ServeError(f"{name} must be an integer, got {value!r}")
+        timeout = self.task_timeout
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout <= 0
+        ):
             raise ServeError(
-                f"unknown dispatch mode {self.dispatch!r}; "
-                f"known: {DISPATCH_MODES}"
+                f"task_timeout must be a finite positive number, "
+                f"got {timeout!r}"
             )
         if not 0.0 <= self.sleep_s <= MAX_SLEEP_S:
             raise ServeError(
@@ -136,10 +145,6 @@ class JobOptions:
             )
         if self.retries is not None and self.retries < 0:
             raise ServeError(f"retries cannot be negative, got {self.retries}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ServeError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
         if self.drill_exit is not None and not 0 <= self.drill_exit <= 255:
             raise ServeError(
                 f"drill_exit must be an exit code in [0, 255], "
@@ -160,15 +165,6 @@ class JobOptions:
             and self.sleep_s == 0.0
             and self.drill_exit is None
         )
-
-    @property
-    def batchable(self) -> bool:
-        """Whether this job may be micro-batched with its queue peers.
-
-        The batch engine evaluates clean analytic points only; a pinned
-        non-vectorized dispatch opts the job out as well.
-        """
-        return self.clean and self.dispatch in (None, "vectorized")
 
     def policy(self) -> Optional[RetryPolicy]:
         """The job's retry policy, or ``None`` for the engine default."""

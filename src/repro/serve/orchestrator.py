@@ -8,10 +8,8 @@ The long-lived core of the serving layer.  One orchestrator owns
   side: a full queue rejects with a ``Retry-After`` estimate), and
 * a small pool of worker *threads* that multiplex every tenant's jobs
   over one process — per-job cost is analytic math measured in
-  milliseconds (PR 7), so the service is orchestration-bound and
-  threads are the right grain; each job's own sweep may still fan out
-  through the vectorized or process-pool engines via its ``dispatch``
-  option.
+  milliseconds, so the service is orchestration-bound and threads are
+  the right grain; each job's sweep is one batch-engine call.
 
 Request flow for a clean job: store hit → ``done`` immediately
 (``serve.dedup_hits``); identical config already queued/running →
@@ -19,16 +17,14 @@ the *same* job is returned (``serve.coalesced``), so concurrent
 identical tenants share one execution; otherwise a fresh job enters
 the queue or is rejected with backpressure.
 
-Workers micro-batch: after dequeuing a batchable job, a worker drains
-up to ``batch_window - 1`` more batchable jobs and evaluates all their
-matrix points as ONE vectorized sweep
-(:func:`repro.exec.microbatch_study_points`), so a burst of small
-requests pays the batch engine's per-group setup once.  Jobs with
-per-job resilience options (chaos seeds, pinned dispatch, synthetic
-service time) run solo through :func:`repro.harness.run_study`, which
-gives them the full retry/timeout/degradation machinery — a
-fault-injected job degrades into ``FailedPoint`` entries without
-wedging the queue.
+Workers micro-batch: after dequeuing a clean job, a worker drains up
+to ``batch_window - 1`` more clean jobs and evaluates all their matrix
+points as ONE batch sweep (:func:`repro.exec.microbatch_study_points`),
+so a burst of small requests pays the batch engine's per-group setup
+once.  Drill jobs (chaos seeds, synthetic service time, poison pills)
+run solo through :func:`repro.harness.run_study`, which gives them the
+full retry/timeout/degradation machinery — a fault-injected job
+degrades into ``FailedPoint`` entries without wedging the queue.
 
 Crash safety (PR 9) is layered on top:
 
@@ -105,10 +101,10 @@ class Orchestrator:
     """Owns the queue, the store, and the worker pool of one service.
 
     ``workers`` threads drain the queue concurrently; ``batch_window``
-    bounds how many batchable jobs one worker may coalesce into a
-    single vectorized sweep (1 disables micro-batching); ``jobs`` is
-    the per-study worker-process count forwarded to
-    :func:`~repro.harness.run_study` for solo runs.
+    bounds how many clean jobs one worker may coalesce into a single
+    batch sweep (1 disables micro-batching); ``jobs`` is the per-study
+    worker-process count forwarded to :func:`~repro.harness.run_study`
+    for solo runs (it only spreads a drill job's fault-injected points).
 
     ``run_study_fn`` is injectable for tests (a raising stub exercises
     the ``failed`` path deterministically).
@@ -464,13 +460,13 @@ class Orchestrator:
             batch = [job]
             if (
                 self.backend == "thread"
-                and job.options.batchable
+                and job.options.clean
                 and self.batch_window > 1
             ):
                 # The process backend runs everything solo: a batch would
                 # couple unrelated tenants' jobs to one killable process.
                 batch += self.queue.drain(
-                    self.batch_window - 1, lambda j: j.options.batchable
+                    self.batch_window - 1, lambda j: j.options.clean
                 )
             try:
                 if len(batch) > 1:
@@ -550,7 +546,6 @@ class Orchestrator:
                         job.config,
                         policy=job.options.policy(),
                         fault_plan=job.options.fault_plan(job.config),
-                        dispatch=job.options.dispatch,
                         **self._solo_run_kwargs(job),
                     )
         except WorkerCrashError as exc:
@@ -605,7 +600,7 @@ class Orchestrator:
         )
 
     def _run_microbatch(self, batch: List[Job]) -> None:
-        """Evaluate several clean jobs as one vectorized sweep."""
+        """Evaluate several clean jobs as one batch sweep."""
         with self._lock:
             for job in batch:
                 job.transition("running")

@@ -100,9 +100,9 @@ class JobQueue:
         """Non-blocking: pop up to ``max_n`` oldest jobs passing ``accept``.
 
         Used by the orchestrator to micro-batch — the scan stops at the
-        first job ``accept`` rejects, preserving FIFO fairness (a
-        non-batchable job at the head must not be overtaken forever by
-        batchable ones behind it).
+        first job ``accept`` rejects, preserving FIFO fairness (a drill
+        job at the head must not be overtaken forever by clean ones
+        behind it).
         """
         taken: List[Job] = []
         with self._cond:

@@ -115,7 +115,6 @@ def _worker_main(conn: Any, heartbeat: Any) -> None:
                 config,
                 policy=options.policy(),
                 fault_plan=options.fault_plan(config),
-                dispatch=options.dispatch,
                 **run_kwargs,
             )
             reply: Tuple[Any, ...] = ("done", study)

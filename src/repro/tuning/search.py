@@ -8,30 +8,17 @@ free, mirroring a persisted autotuning database.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
-from repro.exec import (
-    RetryPolicy,
-    TaskFailure,
-    evaluate_candidate,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.exec import RetryPolicy, TaskFailure
 from repro.gpu.batch import BatchPoint, simulate_batch
 from repro.gpu.progmodel import Platform
 from repro.gpu.simulator import SimulationResult
 from repro.obs import counter, span
 from repro.tuning.space import TuningPoint, TuningSpace
-
-#: Largest candidate set evaluated as one ``simulate_batch`` call.  The
-#: full exhaustive tile/brick spaces the ROADMAP aims at sit well under
-#: this; anything bigger falls back to the per-candidate scalar engine
-#: (which can spread over a pool and apply retry policies).
-BATCH_TUNE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -68,20 +55,16 @@ class Autotuner:
         platform: Platform,
         domain: Tuple[int, int, int] = (512, 512, 512),
         stencil_name: str | None = None,
-        jobs: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
     ) -> TuningOutcome:
-        """Grid-search the space; ``jobs`` workers evaluate candidates.
+        """Grid-search the space in one :func:`simulate_batch` call.
 
-        ``jobs`` follows the engine convention (``None`` consults
-        ``$REPRO_JOBS``, ``<= 1`` is serial, ``0`` is one per CPU); the
-        outcome is identical at any job count.
-
-        ``policy`` turns on resilient evaluation: transient candidate
-        failures are retried per the policy, and candidates that still
-        fail are dropped from the ranking (counted as
-        ``exec.failed_points``) instead of aborting the whole search —
-        unless *every* candidate failed, which raises.
+        ``policy`` turns on resilient evaluation: candidates that fail
+        are dropped from the ranking (counted as ``exec.failed_points``)
+        instead of aborting the whole search — unless *every* candidate
+        failed, which raises.  Without a policy the first failing
+        candidate's error raises, as a scalar loop would.  The batch is
+        deterministic pure math, so there is nothing to retry.
         """
         key = (
             stencil.offsets(),
@@ -105,16 +88,8 @@ class Autotuner:
                     platform.arch.simd_width, stencil.radius, domain
                 )
             )
-            jobs_n = resolve_jobs(jobs)
-            use_batch = (
-                policy is None and jobs_n <= 1 and 0 < len(points) <= BATCH_TUNE_MAX
-            )
-            mode = "batch" if use_batch else "scalar"
-            if sp is not None:
-                sp.set_attr("mode", mode)
-            counter(f"tune.mode.{mode}").inc()
-            if use_batch:
-                bpoints = [
+            results = simulate_batch(
+                [
                     BatchPoint(
                         stencil=stencil,
                         variant=self.variant,
@@ -125,21 +100,9 @@ class Autotuner:
                         vector_length=p.vector_length,
                     )
                     for p in points
-                ]
-                results = simulate_batch(bpoints)
-            else:
-                evaluate = functools.partial(
-                    evaluate_candidate,
-                    stencil=stencil,
-                    variant=self.variant,
-                    platform=platform,
-                    domain=domain,
-                    stencil_name=stencil_name,
-                )
-                results = parallel_map(
-                    evaluate, points, jobs=jobs, policy=policy,
-                    capture_failures=policy is not None,
-                )
+                ],
+                capture_failures=policy is not None,
+            )
             ranked: List[Tuple[TuningPoint, float, SimulationResult]] = []
             dropped: List[Tuple[TuningPoint, TaskFailure]] = []
             for point, res in zip(points, results):

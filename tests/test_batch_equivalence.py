@@ -1,11 +1,11 @@
 """The batch-vectorized engine: bit-exact equivalence with the oracle.
 
-``simulate_batch`` replaces the scalar ``simulate()`` loop for large
-sweeps, so the scalar path is its oracle: every result field — floats
-*bitwise*, ints by value, types by identity — must match, across every
-dispatch mode, including failure degradation under injected faults.
-These tests pin that contract, plus the dispatch decision layer that
-routes between the engines.
+``simulate_batch`` replaces the scalar ``simulate()`` loop for every
+analytic sweep, so the scalar path is its oracle: every result field —
+floats *bitwise*, ints by value, types by identity — must match, for
+single points, whole studies at any job count, failure degradation
+under injected faults, and the autotuner.  These tests pin that
+contract, plus the process pool's break-even model.
 """
 
 import struct
@@ -16,18 +16,19 @@ from hypothesis import strategies as st
 
 from repro import harness, obs
 from repro.dsl.shapes import by_name
-from repro.errors import ExecutionError, SimulationError
+from repro.errors import SimulationError, TaskTimeoutError
 from repro.exec import (
-    DISPATCH_MODES,
     break_even_points,
-    choose_dispatch,
     clear_cost_model,
     observed_cost,
     parallel_map,
     record_cost,
+    simulate_point,
+    study_item_key,
+    validate_simulation,
 )
 from repro.gpu import BatchPoint, platform, simulate, simulate_batch, study_platforms
-from repro.resilience import FaultPlan, RetryPolicy, TaskFailure
+from repro.resilience import FaultPlan, RetryPolicy, TaskFailure, run_with_policy
 from repro.tuning.space import TuningSpace
 
 SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
@@ -163,97 +164,147 @@ class TestBitExactness:
             assert_bit_identical(b, scalar)
 
 
+def _study_items(config):
+    """The items ``run_study`` sweeps for ``config``, in sweep order."""
+    platforms = config.platforms()
+    return [
+        (name, by_name(name).build(), plat, variant, config.domain)
+        for name in config.stencils
+        for plat in platforms
+        for variant in config.variants
+    ]
+
+
+def scalar_study(config, policy=None, fault_plan=None):
+    """The oracle: a scalar ``simulate()`` loop over the study's items.
+
+    Returns ``(results, failed, counters)`` — results and FailedPoint
+    records keyed like a :class:`StudyResults`, plus the ``simulate.*``
+    counter deltas the loop produced.  Under a fault plan every point
+    runs through the plan's wrapper and the retry policy, one at a time.
+    """
+    items = _study_items(config)
+    fn = simulate_point
+    if fault_plan is not None:
+        fn = fault_plan.wrap(simulate_point, key_fn=study_item_key)
+    policy = (policy or RetryPolicy()).with_validate(validate_simulation)
+    before = _counters()
+    results, failed = {}, {}
+    for item in items:
+        key = study_item_key(item)
+        try:
+            results[key] = run_with_policy(fn, item, policy)
+        except Exception as exc:
+            failed[key] = harness.FailedPoint(
+                stencil=key[0], platform=key[1], variant=key[2],
+                error_type=type(exc).__name__, message=str(exc),
+                attempts=getattr(exc, "attempts", 1),
+                timed_out=isinstance(exc, TaskTimeoutError),
+            )
+    return results, failed, _delta(before)
+
+
+def measured_study(config, **kw):
+    """``run_study`` plus the ``simulate.*`` counter deltas it produced."""
+    before = _counters()
+    study = harness.run_study(config, **kw)
+    return study, _delta(before)
+
+
+COUNTERS = ("simulate.calls", "simulate.tiles", "codegen.vector_ops")
+
+
+def _counters():
+    registry = obs.get_registry()
+    return {name: registry.counter(name).value for name in COUNTERS}
+
+
+def _delta(before):
+    after = _counters()
+    return {name: after[name] - before[name] for name in COUNTERS}
+
+
+def _seeded_plan(config):
+    return FaultPlan.seeded(
+        3, config.keys(), raise_rate=0.3, corrupt_rate=0.15
+    )
+
+
 class TestStudyEquivalence:
-    def test_three_way_results_identical(self):
-        serial = harness.run_study(SMALL, dispatch="serial")
-        vectorized = harness.run_study(SMALL, dispatch="vectorized")
-        pool = harness.run_study(SMALL, parallel=2, dispatch="pool")
-        assert list(vectorized.results) == list(serial.results)
-        assert vectorized.results == serial.results
-        assert pool.results == serial.results
-        for key in serial.results:
-            assert _bits(vectorized.results[key]) == _bits(serial.results[key])
+    """``run_study`` against the scalar oracle loop, three ways: the
+    oracle, the study at ``parallel=1`` and the study at ``parallel=3``
+    (the job count spreads only the fault-injected points)."""
+
+    def test_three_way_results_identical(self, registry):
+        oracle, _, _ = scalar_study(SMALL)
+        for parallel in (1, 3):
+            study = harness.run_study(SMALL, parallel=parallel)
+            assert list(study.results) == list(oracle), parallel
+            assert study.results == oracle, parallel
+            assert not study.failed
+            for key in oracle:
+                assert _bits(study.results[key]) == _bits(oracle[key])
 
     def test_vectorized_counters_match_serial(self, registry):
-        harness.run_study(SMALL, dispatch="serial")
-        serial = {
-            name: registry.counter(name).value
-            for name in ("simulate.calls", "simulate.tiles",
-                         "codegen.vector_ops", "study.points")
-        }
-        obs.set_registry(obs.MetricsRegistry())
-        reg = obs.get_registry()
-        harness.run_study(SMALL, dispatch="vectorized")
-        vectorized = {
-            name: reg.counter(name).value for name in serial
-        }
-        assert vectorized == serial
+        _, _, oracle = scalar_study(SMALL)
+        assert oracle["simulate.calls"] == 15
+        for parallel in (1, 3):
+            _, counters = measured_study(SMALL, parallel=parallel)
+            assert counters == oracle, parallel
 
-    def test_three_way_identical_under_faults(self):
-        config = SMALL
-
-        def plan_for():
-            return FaultPlan.seeded(
-                3, config.keys(), raise_rate=0.3, corrupt_rate=0.15
-            )
-
-        assert len(plan_for()) > 0
+    def test_three_way_identical_under_faults(self, registry):
+        assert len(_seeded_plan(SMALL)) > 0
         policy = RetryPolicy(retries=3, backoff_s=0.0)
-        clean = harness.run_study(config, dispatch="serial")
-        runs = {
-            mode: harness.run_study(
-                config, parallel=2 if mode == "pool" else None,
-                policy=policy, fault_plan=plan_for(), dispatch=mode,
+        clean, _, _ = scalar_study(SMALL)
+        oracle, failed, oracle_counters = scalar_study(
+            SMALL, policy=policy, fault_plan=_seeded_plan(SMALL)
+        )
+        assert not failed and oracle == clean
+        for parallel in (1, 3):
+            study, counters = measured_study(
+                SMALL, parallel=parallel, policy=policy,
+                fault_plan=_seeded_plan(SMALL),
             )
-            for mode in DISPATCH_MODES
-        }
-        for mode, study in runs.items():
-            assert study.complete, mode
-            assert study.results == clean.results, mode
+            assert study.complete, parallel
+            assert study.results == oracle, parallel
+            assert counters == oracle_counters, parallel
 
-    def test_failed_points_identical_across_modes(self):
-        # Zero retries: every injected transient raise becomes a
-        # degraded FAILED entry; the records must agree byte for byte.
-        config = SMALL
+    def test_failed_points_identical_across_modes(self, registry):
+        # Zero retries: every injected fault becomes a degraded FAILED
+        # entry; the records must agree field for field.
         policy = RetryPolicy(retries=0, backoff_s=0.0)
-
-        def plan_for():
-            return FaultPlan.seeded(
-                3, config.keys(), raise_rate=0.3, corrupt_rate=0.0
+        plan = _seeded_plan(SMALL)
+        assert plan.count("raise") > 0
+        oracle, failed, oracle_counters = scalar_study(
+            SMALL, policy=policy, fault_plan=_seeded_plan(SMALL)
+        )
+        assert set(failed) == {key for key, _ in plan.faults}
+        for parallel in (1, 3):
+            study, counters = measured_study(
+                SMALL, parallel=parallel, policy=policy,
+                fault_plan=_seeded_plan(SMALL),
             )
-
-        assert plan_for().count("raise") > 0
-        runs = {
-            mode: harness.run_study(
-                config, parallel=2 if mode == "pool" else None,
-                policy=policy, fault_plan=plan_for(), dispatch=mode,
-            )
-            for mode in DISPATCH_MODES
-        }
-        serial = runs["serial"]
-        assert serial.failed  # the seed injects at least one raise
-        for mode in ("vectorized", "pool"):
-            assert runs[mode].failed == serial.failed, mode
-            assert runs[mode].results == serial.results, mode
+            assert study.failed == failed, parallel
+            assert study.results == oracle, parallel
+            assert list(study.results) == list(oracle), parallel
+            assert counters == oracle_counters, parallel
 
     def test_vectorized_span_tree(self, tracer):
-        harness.run_study(SMALL, dispatch="vectorized")
+        harness.run_study(SMALL)
         (root,) = tracer.roots()
         assert root.name == "run_study"
-        assert root.attrs["dispatch"] == "vectorized"
         (batch,) = root.find("sweep.batch")
         assert batch.attrs["points"] == 15
         assert batch.attrs["groups"] == 15  # one group per combo here
         assert [c.name for c in batch.children] == ["sweep.chunk"]
+        assert not root.find("study.point")
 
     def test_checkpoint_and_resume(self, tmp_path):
         first = harness.run_study(
-            SMALL, dispatch="vectorized", cache_dir=str(tmp_path),
-            checkpoint_every=4,
+            SMALL, cache_dir=str(tmp_path), checkpoint_every=4,
         )
         resumed = harness.run_study(
-            SMALL, dispatch="vectorized", cache_dir=str(tmp_path),
-            resume=True,
+            SMALL, cache_dir=str(tmp_path), resume=True,
         )
         assert resumed.results == first.results
 
@@ -334,56 +385,6 @@ class TestBatchFailureSemantics:
         assert [r for _, r in seen] == out
 
 
-class TestDispatchDecision:
-    def test_single_point_stays_serial(self, registry):
-        assert choose_dispatch(1, 8).mode == "serial"
-
-    def test_large_sweep_vectorizes_even_serial(self, registry):
-        decision = choose_dispatch(100_000, 1)
-        assert decision.mode == "vectorized"
-
-    def test_parallel_request_vectorizes(self, registry):
-        assert choose_dispatch(90, 4).mode == "vectorized"
-
-    def test_small_serial_sweep_stays_serial(self, registry):
-        assert choose_dispatch(90, 1).mode == "serial"
-
-    def test_unvectorizable_parallel_goes_pool(self, registry):
-        assert choose_dispatch(90, 4, vectorizable=False).mode == "pool"
-
-    def test_forced_mode_wins(self, registry):
-        for mode in DISPATCH_MODES:
-            assert choose_dispatch(90, 4, forced=mode).mode == mode
-
-    def test_unknown_forced_mode_raises(self, registry):
-        with pytest.raises(ExecutionError, match="unknown dispatch"):
-            choose_dispatch(90, 4, forced="quantum")
-
-    def test_decisions_are_counted(self, registry):
-        choose_dispatch(90, 4)
-        assert registry.counter("exec.dispatch.vectorized").value == 1
-
-    def test_break_even_infinite_without_parallelism(self):
-        assert break_even_points(0.01, 4, cpus=1) == float("inf")
-        assert break_even_points(0.01, 1, cpus=8) == float("inf")
-
-    def test_break_even_finite_with_parallelism(self):
-        n = break_even_points(0.01, 4, cpus=4)
-        assert 0 < n < float("inf")
-        # Cheaper items need more of them to amortise pool startup.
-        assert break_even_points(0.001, 4, cpus=4) > n
-
-    def test_cost_model_ewma(self, registry):
-        clear_cost_model()
-        try:
-            record_cost(_costed, 0.1)
-            record_cost(_costed, 0.2)
-            assert observed_cost(_costed) == pytest.approx(0.15)
-        finally:
-            clear_cost_model()
-        assert observed_cost(_costed) is None
-
-
 def _costed(x):
     return x
 
@@ -412,34 +413,59 @@ class TestPoolAutoFallback:
         finally:
             clear_cost_model()
 
-    def test_auto_fallback_off_keeps_the_pool(self, registry):
+    def test_break_even_infinite_without_parallelism(self):
+        assert break_even_points(0.01, 4, cpus=1) == float("inf")
+        assert break_even_points(0.01, 1, cpus=8) == float("inf")
+
+    def test_break_even_finite_with_parallelism(self):
+        n = break_even_points(0.01, 4, cpus=4)
+        assert 0 < n < float("inf")
+        # Cheaper items need more of them to amortise pool startup.
+        assert break_even_points(0.001, 4, cpus=4) > n
+
+    def test_cost_model_ewma(self, registry):
         clear_cost_model()
         try:
-            record_cost(_double, 1e-6)
-            out = parallel_map(
-                _double, list(range(12)), jobs=2, auto_fallback=False
-            )
-            assert out == [2 * x for x in range(12)]
-            assert registry.counter("exec.dispatch.serial_fallback").value == 0
+            record_cost(_costed, 0.1)
+            record_cost(_costed, 0.2)
+            assert observed_cost(_costed) == pytest.approx(0.15)
         finally:
             clear_cost_model()
+        assert observed_cost(_costed) is None
 
 
 class TestTuningDispatch:
-    def test_batch_and_pool_tuning_agree(self, registry):
+    def test_tune_equals_scalar_loop(self, registry):
         from repro.tuning import Autotuner
 
         stencil = by_name("13pt").build()
         plat = platform("A100", "CUDA")
         domain = (64, 64, 64)
-        batch = Autotuner().tune(
+        outcome = Autotuner().tune(
             stencil, plat, domain=domain, stencil_name="13pt"
         )
-        assert registry.counter("tune.mode.batch").value == 1
-        pool = Autotuner().tune(
-            stencil, plat, domain=domain, stencil_name="13pt", jobs=2
+        assert registry.counter("sweep.batch.points").value == len(
+            outcome.ranking
         )
-        assert registry.counter("tune.mode.scalar").value == 1
-        assert batch.best == pool.best
-        assert batch.ranking == pool.ranking
-        assert _bits(batch.best_result) == _bits(pool.best_result)
+        candidates = list(
+            TuningSpace().candidates(
+                plat.arch.simd_width, stencil.radius, domain
+            )
+        )
+        scalar = sorted(
+            (
+                (
+                    p,
+                    simulate(
+                        stencil, "bricks_codegen", plat, domain=domain,
+                        stencil_name="13pt", dims=p.brick_dims(),
+                        vector_length=p.vector_length,
+                    ),
+                )
+                for p in candidates
+            ),
+            key=lambda pr: (pr[1].time_s, pr[0].label()),
+        )
+        assert outcome.ranking == tuple((p, r.time_s) for p, r in scalar)
+        assert outcome.best == scalar[0][0]
+        assert_bit_identical(outcome.best_result, scalar[0][1])

@@ -35,6 +35,15 @@ class TestTables:
             cli.main(["table", "6"])
 
 
+class TestResilienceFlags:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_task_timeout_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["study", "--task-timeout", value])
+        assert exc.value.code == 2
+        assert "argument --task-timeout" in capsys.readouterr().err
+
+
 class TestFigures:
     def test_fig4(self, capsys):
         rc, out = run_cli(capsys, "figure", "4")

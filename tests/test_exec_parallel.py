@@ -1,8 +1,9 @@
-"""The parallel execution engine: equivalence with serial runs.
+"""The process-pool engine: equivalence with serial runs.
 
-A parallel sweep must be a pure implementation detail: same results,
-same counters, same span tree as the serial path, just spread over
-worker processes.  These tests pin that contract.
+The pool runs a study's fault-injected points when ``parallel > 1``.
+That must be a pure implementation detail: same results, same
+counters, same span tree as the serial path, just spread over worker
+processes.  These tests pin that contract.
 """
 
 import os
@@ -11,9 +12,18 @@ import pytest
 
 from repro import harness, obs
 from repro.errors import ExecutionError
-from repro.exec import parallel_map, resolve_jobs
+from repro.exec import (
+    clear_cost_model,
+    parallel_map,
+    pool,
+    record_cost,
+    resolve_jobs,
+    simulate_point,
+)
 from repro.exec.pool import _chunk_bounds
 from repro.gpu.progmodel import platform
+from repro.gpu.simulator import simulate
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.tuning import Autotuner
 
 SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
@@ -115,28 +125,56 @@ class TestParallelMap:
         assert registry.counter("pool_test.calls").value == 40
 
 
+#: Routes every SMALL point through the scalar engine without injecting
+#: anything: a ``raise`` spec that sabotages zero attempts.
+SCALAR_ROUTED = FaultPlan(faults=tuple(
+    (key, FaultSpec("raise", failures=0)) for key in SMALL.keys()
+))
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Make ``parallel_map`` pool whenever ``jobs > 1``.
+
+    The measured break-even model keeps cheap analytic points in-process
+    on small machines; these tests are about the pool itself.
+    """
+    monkeypatch.setattr(pool, "break_even_points", lambda *a, **k: 0.0)
+    clear_cost_model()
+    record_cost(simulate_point, 1.0)
+    yield
+    clear_cost_model()
+
+
 class TestStudyEquivalence:
-    def test_parallel_study_equals_serial(self):
+    """A study's fault-injected points spread over the pool; results,
+    counters and the per-point span tree must not show it."""
+
+    def test_parallel_study_equals_serial(self, force_pool):
         serial = harness.run_study(SMALL)
-        parallel = harness.run_study(SMALL, parallel=3)
+        parallel = harness.run_study(
+            SMALL, parallel=3, fault_plan=SCALAR_ROUTED
+        )
         assert list(parallel.results) == list(serial.results)  # same order
         assert parallel.results == serial.results  # same values
 
-    def test_parallel_counters_match_serial(self, registry):
-        harness.run_study(SMALL, parallel=3)
+    def test_parallel_counters_match_serial(self, registry, force_pool):
+        harness.run_study(SMALL, parallel=3, fault_plan=SCALAR_ROUTED)
         # 1 stencil x 5 platforms x 3 variants, re-aggregated from workers.
         assert registry.counter("simulate.calls").value == 15
         assert registry.counter("study.points").value == 15
         assert registry.counter("codegen.vector_ops").value > 0
+        assert registry.counter("exec.dispatch.serial_fallback").value == 0
 
-    def test_parallel_span_tree_matches_serial_contract(self, tracer):
-        # dispatch="pool" pins the per-point worker span tree; the
-        # default auto-dispatch routes jobs>1 to the vectorized engine,
-        # whose span contract is covered by test_batch_equivalence.
-        harness.run_study(SMALL, parallel=2, dispatch="pool")
+    def test_parallel_span_tree_matches_serial_contract(
+        self, tracer, force_pool
+    ):
+        harness.run_study(SMALL, parallel=2, fault_plan=SCALAR_ROUTED)
         (root,) = tracer.roots()
         assert root.name == "run_study"
         assert root.attrs["jobs"] == 2
+        (mapped,) = root.find("exec.parallel_map")
+        assert mapped.attrs["jobs"] == 2
         points = root.find("study.point")
         assert len(points) == 15
         keys = {
@@ -151,25 +189,40 @@ class TestStudyEquivalence:
                 "codegen", "cost", "traffic", "timing"
             ]
 
-    def test_adopted_span_ids_are_unique(self, tracer):
-        harness.run_study(SMALL, parallel=2, dispatch="pool")
+    def test_adopted_span_ids_are_unique(self, tracer, force_pool):
+        harness.run_study(SMALL, parallel=2, fault_plan=SCALAR_ROUTED)
         (root,) = tracer.roots()
         ids = [s.span_id for s in root.walk()]
         assert len(ids) == len(set(ids))
 
 
 class TestTuningEquivalence:
-    def test_parallel_tune_equals_serial(self):
+    def test_tune_with_policy_equals_scalar_loop(self):
         from repro.dsl.shapes import by_name
 
         stencil = by_name("13pt").build()
         plat = platform("A100", "CUDA")
         domain = (64, 64, 64)
-        # Separate tuners: tune() memoises per (stencil, platform, domain).
-        serial = Autotuner().tune(stencil, plat, domain=domain,
-                                  stencil_name="13pt", jobs=1)
-        parallel = Autotuner().tune(stencil, plat, domain=domain,
-                                    stencil_name="13pt", jobs=2)
-        assert parallel.best == serial.best
-        assert parallel.best_result == serial.best_result
-        assert parallel.ranking == serial.ranking
+        # A policy switches the batch to failure capture; nothing fails
+        # here, so the ranking is the scalar loop's.
+        outcome = Autotuner().tune(
+            stencil, plat, domain=domain, stencil_name="13pt",
+            policy=RetryPolicy(retries=1, backoff_s=0.0),
+        )
+        points = Autotuner().space.candidates(
+            plat.arch.simd_width, stencil.radius, domain
+        )
+        scalar = sorted(
+            (
+                simulate(
+                    stencil, "bricks_codegen", plat, domain=domain,
+                    stencil_name="13pt", dims=p.brick_dims(),
+                    vector_length=p.vector_length,
+                ).time_s,
+                p.label(),
+                p,
+            )
+            for p in points
+        )
+        assert outcome.ranking == tuple((p, t) for t, _, p in scalar)
+        assert outcome.best == scalar[0][2]

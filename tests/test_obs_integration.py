@@ -65,20 +65,14 @@ class TestStudySpans:
         harness.run_study(SMALL)
         (root,) = tracer.roots()
         assert root.name == "run_study"
-        points = root.find("study.point")
-        # 2 stencils x 5 platforms x 3 variants
-        assert len(points) == 30
-        keys = {
-            (p.attrs["stencil"], p.attrs["platform"], p.attrs["variant"])
-            for p in points
-        }
-        assert len(keys) == 30
-        for p in points:
-            (sim,) = p.children
-            assert sim.name == "simulate"
-            assert {c.name for c in sim.children} == {
-                "codegen", "cost", "traffic", "timing"
-            }
+        # One batch call: 2 stencils x 5 platforms x 3 variants.
+        (batch,) = root.children
+        assert batch.name == "sweep.batch"
+        assert batch.attrs["points"] == 30
+        assert {c.name for c in batch.children} == {"sweep.chunk"}
+        assert sum(c.attrs["n"] for c in batch.children) == 30
+        assert obs.get_registry().counter("simulate.calls").value == 30
+        assert not root.find("study.point")
 
     def test_cached_study_hit_and_miss(self, tracer):
         harness.clear_study_cache()
@@ -112,9 +106,12 @@ class TestCli:
     def test_study_trace_jsonl(self, capsys, tmp_path):
         harness.clear_study_cache()
         out_path = tmp_path / "out.jsonl"
+        prev_r = obs.get_registry()
+        reg = obs.set_registry(obs.MetricsRegistry())
         try:
             rc = cli.main(["study", "--trace", str(out_path)])
         finally:
+            obs.set_registry(prev_r)
             harness.clear_study_cache()
         out = capsys.readouterr().out
         assert rc == 0
@@ -124,10 +121,15 @@ class TestCli:
             for line in out_path.read_text().strip().split("\n")
         ]
         names = [r["name"] for r in records]
-        assert names.count("study.point") == 90
-        assert names.count("simulate") == 90
-        for stage in ("codegen", "cost", "traffic", "timing"):
-            assert names.count(stage) == 90
+        assert "study.point" not in names and "simulate" not in names
+        (study,) = [r for r in records if r["name"] == "run_study"]
+        (batch,) = [r for r in records if r["name"] == "sweep.batch"]
+        chunks = [r for r in records if r["name"] == "sweep.chunk"]
+        assert batch["parent_id"] == study["id"]
+        assert batch["attrs"]["points"] == 90
+        assert {c["parent_id"] for c in chunks} == {batch["id"]}
+        assert sum(c["attrs"]["n"] for c in chunks) == 90
+        assert reg.counter("simulate.calls").value == 90
 
     def test_study_trace_chrome_loadable(self, capsys, tmp_path):
         harness.clear_study_cache()
@@ -142,17 +144,13 @@ class TestCli:
         doc = json.loads(out_path.read_text())
         events = doc["traceEvents"]
         assert all(e["ph"] == "X" for e in events)
-        points = [e for e in events if e["name"] == "study.point"]
-        assert len(points) == 90
-        assert {
-            (e["args"]["stencil"], e["args"]["platform"], e["args"]["variant"])
-            for e in points
-        } == {
-            (s, p, v)
-            for s in harness.STENCIL_NAMES
-            for p in (pl.name for pl in harness.ExperimentConfig().platforms())
-            for v in ("array", "array_codegen", "bricks_codegen")
-        }
+        # Chrome args are strings.
+        (study,) = [e for e in events if e["name"] == "run_study"]
+        assert study["args"]["points"] == "90"
+        (batch,) = [e for e in events if e["name"] == "sweep.batch"]
+        assert batch["args"]["points"] == "90"
+        chunks = [e for e in events if e["name"] == "sweep.chunk"]
+        assert sum(int(e["args"]["n"]) for e in chunks) == 90
 
     def test_obs_subcommand(self, capsys):
         harness.clear_study_cache()  # a cold sweep puts run_study in the tree

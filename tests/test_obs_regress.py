@@ -174,5 +174,5 @@ class TestDiffRun:
 
     def test_default_specs_cover_the_bench_gates(self):
         names = {s.name for s in obs.DEFAULT_SPECS}
-        assert {"run.duration_s", "gate.sweep.speedup",
+        assert {"run.duration_s", "gate.batch.speedup_vs_serial",
                 "gate.cachesim.speedup", "span.simulate.total_s"} <= names

@@ -371,19 +371,16 @@ class TestCli:
         failures = []
         doc = {
             "schema_version": 1,
-            "sweep": {
-                "speedup": 2.5, "jobs": 2,
-                "parallel_points_per_s": 100.0,
-                "serial_points_per_s": 50.0,
-            },
+            "sweep": {"jobs": 2, "serial_points_per_s": 50.0},
+            "cachesim": {"speedup": 12.5, "vectorized_accesses_per_s": 3e7},
         }
         mod.record_results(db, doc, failures)
         assert failures == []
         with ResultsStore(db, create=False) as store:
-            history = store.gate_history("sweep.speedup")
-            assert len(history) == 1 and history[0][2] == 2.5
+            history = store.gate_history("cachesim.speedup")
+            assert len(history) == 1 and history[0][2] == 12.5
             names = store.gate_names()
-        assert "sweep.parallel_points_per_s" in names
+        assert "sweep.serial_points_per_s" in names
         # The full benchmark record is archived alongside the gates.
         conn = sqlite3.connect(db)
         (doc_json,) = conn.execute("SELECT doc FROM bench_runs").fetchone()

@@ -140,8 +140,9 @@ class TestErrorContract:
 
     def test_unknown_option_is_400(self, service):
         client, _ = service
-        with pytest.raises(ServeError, match="400"):
-            client.submit(SMALL_DOC, {"priority": "high"})
+        for options in ({"priority": "high"}, {"dispatch": "serial"}):
+            with pytest.raises(ServeError, match="400"):
+                client.submit(SMALL_DOC, options)
 
     def test_malformed_json_is_400(self, service):
         client, _ = service

@@ -44,15 +44,15 @@ def wait_for(predicate, timeout_s=30.0, interval_s=0.01):
 
 
 class TestJobOptions:
-    def test_defaults_are_clean_and_batchable(self):
+    def test_defaults_are_clean(self):
         o = JobOptions()
-        assert o.clean and o.batchable
+        assert o.clean
         assert o.policy() is None
         assert o.fault_plan(SMALL) is None
         assert o.to_dict() == {}
 
     def test_round_trip(self):
-        o = JobOptions(retries=3, task_timeout=5.0, dispatch="serial")
+        o = JobOptions(retries=3, task_timeout=5.0, inject_faults=2)
         assert JobOptions.from_dict(o.to_dict()) == o
 
     def test_retries_zero_survives_round_trip(self):
@@ -67,27 +67,35 @@ class TestJobOptions:
     def test_sleepy_job_is_not_clean(self):
         assert not JobOptions(sleep_s=0.5).clean
 
-    def test_pinned_pool_dispatch_is_not_batchable(self):
-        o = JobOptions(dispatch="pool")
-        assert o.clean and not o.batchable
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"dispatch": "warp-speed"},
             {"sleep_s": -1.0},
             {"sleep_s": MAX_SLEEP_S + 1},
             {"retries": -1},
             {"task_timeout": 0.0},
+            {"task_timeout": float("inf")},
+            {"task_timeout": float("nan")},
+            {"retries": 2.5},
+            {"retries": True},
+            {"inject_faults": 1.5},
+            {"drill_exit": True},
         ],
     )
     def test_invalid_options_raise(self, kwargs):
-        with pytest.raises(ServeError):
+        (name,) = kwargs
+        with pytest.raises(ServeError, match=name):
             JobOptions(**kwargs)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ServeError, match="unknown option"):
             JobOptions.from_dict({"retries": 1, "priority": "high"})
+
+    def test_dispatch_is_an_unknown_option(self):
+        # Every clean job runs through the batched engine: there is no
+        # engine choice left for a client to pin.
+        with pytest.raises(ServeError, match=r"unknown option\(s\) \['dispatch'\]"):
+            JobOptions.from_dict({"dispatch": "serial"})
 
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(ServeError, match="JSON object"):
@@ -192,13 +200,13 @@ class TestJobQueue:
 
     def test_drain_stops_at_first_rejected_head(self):
         q = JobQueue(limit=8)
-        batchable = [self._job() for _ in range(2)]
-        solo = Job(config=SMALL, options=JobOptions(dispatch="pool"))
+        clean = [self._job() for _ in range(2)]
+        solo = Job(config=SMALL, options=JobOptions(sleep_s=0.5))
         tail = self._job()
-        for job in [*batchable, solo, tail]:
+        for job in [*clean, solo, tail]:
             q.put(job)
-        taken = q.drain(10, lambda j: j.options.batchable)
-        assert taken == batchable  # stops at the pool job: FIFO fairness
+        taken = q.drain(10, lambda j: j.options.clean)
+        assert taken == clean  # stops at the drill job: FIFO fairness
         assert q.get(0.1) is solo
 
     def test_remove_supports_cancellation(self):
@@ -400,7 +408,7 @@ class TestOrchestrator:
             raise RuntimeError("boom")
 
         orch = Orchestrator(ResultStore(), workers=1, run_study_fn=explode)
-        job = orch.submit(SMALL, JobOptions(dispatch="serial"))
+        job = orch.submit(SMALL, JobOptions())
         orch.start()
         try:
             assert wait_for(lambda: job.finished)
@@ -409,7 +417,7 @@ class TestOrchestrator:
             assert registry.counter("serve.job_errors").value == 1
             # The worker survived; a fresh submission is NOT dedup'd to
             # the failure and the queue still serves.
-            retry = orch.submit(SMALL, JobOptions(dispatch="serial"))
+            retry = orch.submit(SMALL, JobOptions())
             assert wait_for(lambda: retry.finished)
             assert retry.state == "failed"  # stub still explodes
         finally:

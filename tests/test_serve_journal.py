@@ -245,6 +245,29 @@ class TestOrchestratorReplay:
         assert len(o2.queue) == 0
         o2.close()
 
+    def test_row_with_removed_dispatch_option_is_failed(
+        self, tmp_path, registry
+    ):
+        # A journal written before ``dispatch`` was dropped from
+        # JobOptions: recovery fails the row instead of crashing.
+        path = str(tmp_path / "journal.db")
+        o1 = Orchestrator(ResultStore(), workers=1, journal=path)
+        o1.journal.record_submit(
+            "legacy-1", SMALL.to_dict(), {"dispatch": "serial"}, "hash-legacy",
+        )
+        good = o1.submit(OTHER)
+        o1.close()
+
+        o2 = Orchestrator(ResultStore(), workers=1, journal=path)
+        assert o2.recover() == 1
+        rec = o2.journal.job("legacy-1")
+        assert rec.state == "failed"
+        assert "unreplayable journal row" in rec.error
+        assert "unknown option(s) ['dispatch']" in rec.error
+        assert registry.get("serve.recovery.unrecoverable").value == 1
+        assert o2.queue.get().job_id == good.job_id
+        o2.close()
+
     def test_terminal_jobs_keep_their_outcome(self, tmp_path, registry):
         path = str(tmp_path / "journal.db")
         o1 = Orchestrator(ResultStore(), workers=1, journal=path)

@@ -14,6 +14,8 @@ from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 
 #: 6-point sweep: 2 stencils x 1 platform x 3 variants, sweep order
 #: 7pt/array, 7pt/array_codegen, 7pt/bricks_codegen, then 13pt likewise.
+#: Points without a fault-plan entry run first, as one batch; points
+#: with one follow on the scalar path, in sweep order.
 CONFIG = harness.ExperimentConfig(
     stencils=("7pt", "13pt"),
     domain=(64, 64, 64),
@@ -52,19 +54,20 @@ class TestInterruptAndResume:
                 CONFIG, parallel=1, fault_plan=plan,
                 cache_dir=cache_dir, checkpoint_every=1,
             )
-        # Every point completed before the interrupt was flushed.
+        # Every point completed before the interrupt was flushed: the
+        # 5 batched points ran ahead of the scalar-routed interrupt.
         done = serialization.load_study_checkpoint(CONFIG, cache_dir)
-        assert done is not None and len(done) == 4
+        assert done is not None and len(done) == 5
         assert INTERRUPT_KEY not in done
 
         calls_before = _count(registry, "simulate.calls")
         study = harness.run_study(
             CONFIG, parallel=1, cache_dir=cache_dir, resume=True
         )
-        # Only the 2 missing points were simulated; 4 came for free.
+        # Only the missing point was simulated; 5 came for free.
         assert study.complete and len(study) == 6
-        assert _count(registry, "simulate.calls") - calls_before == 2
-        assert _count(registry, "study.resumed_points") == 4
+        assert _count(registry, "simulate.calls") - calls_before == 1
+        assert _count(registry, "study.resumed_points") == 5
         # A complete sweep needs no checkpoint any more.
         assert serialization.load_study_checkpoint(CONFIG, cache_dir) is None
 
@@ -121,8 +124,11 @@ class TestInterruptAndResume:
         under a higher retry budget re-attempts that FailedPoint and
         completes — it is never replayed as a permanent failure."""
         cache_dir = str(tmp_path)
+        # FAIL_KEY rides the scalar path behind the interrupt (its spec
+        # sabotages no attempt), so it is still pending at resume #1.
         interrupt = FaultPlan(faults=(
             (INTERRUPT_KEY, FaultSpec("interrupt", failures=-1)),
+            (FAIL_KEY, FaultSpec("raise", failures=0)),
         ))
         with pytest.raises(KeyboardInterrupt):
             harness.run_study(
