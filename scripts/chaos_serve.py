@@ -5,8 +5,8 @@ CI's ``chaos-serve`` job runs this after the unit tests.  Three legs:
 
 1. **kill -9 recovery** — boot a journaled server with an on-disk
    cache and per-point checkpointing, submit a 15-point study, SIGKILL
-   the server the instant its first checkpoint flush appears on disk
-   (no drain, no journal flush, no telemetry), then cold-start a new
+   the server the instant the cache store holds its first checkpointed
+   point (no drain, no journal flush, no telemetry), then cold-start a new
    server on the same journal + cache.  The job must replay, resume
    from the checkpoint (``study.resumed_points > 0`` — only the points
    after the last flush are re-simulated), finish, and serve a result
@@ -24,8 +24,10 @@ CI's ``chaos-serve`` job runs this after the unit tests.  Three legs:
    equal-direction specs: any drift across sessions fails the job).
 3. **two replicas, one cache** — two servers sharing ``--cache-dir``
    are given the same study concurrently; both must finish with
-   byte-identical results (the O_EXCL sidecar locks serialise the
-   writers — no torn pickle, no lost checkpoint).
+   byte-identical results.  Both write one SQLite cache store: each
+   checkpoint flush is a transaction that SQLite's file locking
+   serialises, and points upsert on their primary key, so neither
+   replica can tear or regress the other's progress.
 
 Legs 1 and 3 use per-run scratch directories, which are part of the
 telemetry config hash — so those servers deliberately skip the
@@ -38,11 +40,11 @@ Exit status: 0 = every leg passed, 1 = anything failed.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -113,6 +115,25 @@ def sigterm(proc: subprocess.Popen, timeout_s: float = 60.0):
 
 
 # ---- leg 1: kill -9 recovery ----------------------------------------------
+def store_has_points(cache: str) -> bool:
+    """Whether the cache store holds at least one ``points`` row.
+
+    A read-only query, so the probe never creates or locks the file
+    for writing; a store not yet created (or mid-creation) reads False.
+    """
+    uri = f"file:{harness.study_cache_path(cache)}?mode=ro"
+    try:
+        conn = sqlite3.connect(uri, uri=True)
+        try:
+            return conn.execute(
+                "SELECT EXISTS (SELECT 1 FROM points)"
+            ).fetchone()[0] == 1
+        finally:
+            conn.close()
+    except sqlite3.Error:
+        return False
+
+
 def kill9_attempt(base: str, expected: bytes) -> tuple:
     """One kill -9 drill on fresh scratch state; returns (ok, why)."""
     journal = os.path.join(base, "journal.db")
@@ -126,7 +147,7 @@ def kill9_attempt(base: str, expected: bytes) -> tuple:
     deadline = time.monotonic() + 60.0
     killed = False
     while time.monotonic() < deadline:
-        if glob.glob(os.path.join(cache, "*.ckpt.pkl")):
+        if store_has_points(cache):
             proc.kill()  # SIGKILL: no drain, no flush, no mercy
             proc.wait(timeout=30)
             killed = True

@@ -45,8 +45,9 @@ reconstruction, byte-identical to the direct path.
 Sweeps accept ``--jobs N`` (worker processes for fault-injected points;
 ``$REPRO_JOBS`` supplies a default, 0 means one per CPU) and the
 sweep-rendering commands accept ``--cache-dir [DIR]`` to persist and
-reuse study results across invocations (``$REPRO_CACHE_DIR`` supplies a
-default directory).
+reuse study results across invocations in a SQLite result database,
+``DIR/studies.db``, whose incomplete study rows double as checkpoints
+(``$REPRO_CACHE_DIR`` supplies a default directory).
 
 Fault tolerance (see :mod:`repro.resilience`): ``--retries N`` and
 ``--task-timeout SECONDS`` configure the retry policy, ``--resume``

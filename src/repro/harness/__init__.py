@@ -57,7 +57,6 @@ from repro.harness.serialization import (
     save_study_checkpoint,
     study_cache_key,
     study_cache_path,
-    study_checkpoint_path,
     study_to_dict,
 )
 from repro.harness.tables import (
@@ -90,7 +89,6 @@ __all__ = [
     "load_csv_rows",
     "load_study_checkpoint",
     "save_study_checkpoint",
-    "study_checkpoint_path",
     "fig3",
     "fig4",
     "fig5",

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
-from repro.errors import MetricError
+from repro.errors import MetricError, ResultStoreError
 from repro.exec import (
     RetryPolicy,
     TaskFailure,
@@ -314,9 +314,10 @@ def run_study(
       installed automatically so corrupted payloads are retried;
     * points that still fail degrade into :attr:`StudyResults.failed`
       entries (counted as ``exec.failed_points``) instead of raising;
-    * with ``cache_dir``, completed points are checkpointed every
-      ``checkpoint_every`` completions, and ``resume=True`` preloads
-      the checkpoint so only missing/failed points are re-simulated
+    * with ``cache_dir``, completed points are merged into the cache
+      directory's result database every ``checkpoint_every``
+      completions, and ``resume=True`` preloads that checkpoint so
+      only missing/failed points are re-simulated
       (``study.resumed_points`` counts the skips);
     * ``fault_plan`` injects deterministic faults (tests and the
       ``--inject-faults`` dev flag).
@@ -375,8 +376,23 @@ def run_study(
     clean = [i for i in range(len(pending)) if i not in faulty_set]
     outcomes: List[object] = [None] * len(pending)
 
-    checkpoint = dict(done)
-    flush_state = {"fresh": 0}
+    unflushed: Dict[Key, Any] = {}
+
+    def checkpoint() -> None:
+        """Merge the unflushed points into the cache store.
+
+        Best-effort: a store that cannot be written (a garbage file
+        where it belongs, a full disk) counts
+        ``study_cache.write_errors`` and turns checkpointing off for the
+        rest of the sweep instead of failing it.
+        """
+        nonlocal cache_dir
+        try:
+            serialization.save_study_checkpoint(config, unflushed, cache_dir)
+        except ResultStoreError:
+            counter("study_cache.write_errors").inc()
+            cache_dir = None
+        unflushed.clear()
 
     def routed(indices: List[int]) -> Callable[[int, object], None]:
         """An ``on_result`` hook for a sub-list of ``pending``."""
@@ -386,13 +402,9 @@ def run_study(
             outcomes[index] = result
             if not cache_dir or isinstance(result, TaskFailure):
                 return
-            checkpoint[pending_keys[index]] = result
-            flush_state["fresh"] += 1
-            if flush_state["fresh"] >= max(1, checkpoint_every):
-                serialization.save_study_checkpoint(
-                    config, checkpoint, cache_dir
-                )
-                flush_state["fresh"] = 0
+            unflushed[pending_keys[index]] = result
+            if len(unflushed) >= max(1, checkpoint_every):
+                checkpoint()
 
         return on_result
 
@@ -441,16 +453,12 @@ def run_study(
             counter("exec.failed_points").inc(len(study.failed))
             if sp is not None:
                 sp.set_attr("failed", len(study.failed))
-        if cache_dir:
-            if study.complete:
-                serialization.clear_study_checkpoint(config, cache_dir)
-            else:
-                # Record the failures too, so a later ``--resume`` knows
-                # which points failed (vs. never ran) — they are always
-                # re-attempted, never trusted as results.
-                serialization.save_study_checkpoint(
-                    config, {**study.results, **study.failed}, cache_dir
-                )
+        # The last flush also records the failures, so a later
+        # ``--resume`` knows which points failed (vs. never ran) — they
+        # are always re-attempted, never trusted as results.
+        unflushed.update(study.failed)
+        if cache_dir and unflushed:
+            checkpoint()
     _ingest_results(study, results_db, source="run_study")
     return study
 
@@ -466,7 +474,6 @@ def _ingest_results(
     multi-second sweep after the work is done.
     """
     # Local import: repro.results imports this module for StudyResults.
-    from repro.errors import ResultStoreError
     from repro.results import ResultsStore, resolve_results_db
 
     path = resolve_results_db(results_db)
@@ -530,8 +537,6 @@ def cached_study(
             study = None
             if cache_dir:
                 study = serialization.load_study_cache(config, cache_dir)
-                if study is not None and resume and not study.complete:
-                    study = None  # same rule for a stale on-disk entry
                 disk = "hit" if study is not None else "miss"
                 counter(
                     "study_disk_cache.hits" if disk == "hit"
@@ -549,8 +554,6 @@ def cached_study(
                     resume=resume,
                     results_db=results_db,
                 )
-                if cache_dir and study.complete:
-                    serialization.save_study_cache(study, cache_dir)
             _STUDY_CACHE[config] = study
     return _STUDY_CACHE[config]
 

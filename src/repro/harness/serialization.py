@@ -13,6 +13,13 @@ Two version stamps guard the round-trip:
 
 CSV files carry no header beyond the field row itself; :func:`load_csv_rows`
 treats that header as the schema stamp and rejects mismatches.
+
+JSON and CSV are export formats.  The ``--cache-dir`` study cache and
+sweep checkpoints live in a SQLite result database
+(:class:`~repro.results.store.ResultsStore`): the functions in the
+second half of this module keep one ``studies.db`` per cache directory,
+where a complete study row is a cache hit and an incomplete one is a
+checkpoint.  Nothing here pickles.
 """
 
 from __future__ import annotations
@@ -21,13 +28,19 @@ import csv
 import hashlib
 import json
 import os
-import pickle
-from typing import Dict, List, Optional
+import sqlite3
+from typing import Dict, List, Mapping, Optional, Union
 
-from repro.errors import MetricError
-from repro.harness.experiments import ExperimentConfig, StudyResults, iter_results
+from repro.errors import MetricError, ResultStoreError
+from repro.gpu.simulator import SimulationResult
+from repro.harness.experiments import (
+    ExperimentConfig,
+    FailedPoint,
+    Key,
+    StudyResults,
+    iter_results,
+)
 from repro.harness.reporting import CSV_FIELDS, coerce_row, result_row
-from repro.resilience.locks import FileLock
 
 FORMAT_VERSION = 1
 
@@ -140,22 +153,30 @@ def load_csv_rows(path: str) -> List[Dict]:
         return rows
 
 
-# ---- persistent on-disk study cache ---------------------------------------
+# ---- the --cache-dir study store ------------------------------------------
 #
 # Repeated CLI invocations (``repro-stencil table 3`` then ``figure 4``)
 # are separate processes, so the in-process memo of ``cached_study``
-# cannot help them.  The disk cache stores the full pickled
-# ``StudyResults`` (flat rows would lose the Platform/Traffic/Timing
-# objects the renderers need), keyed by a sha256 hash of the sweep
-# configuration.  ``SCHEMA_VERSION`` is part of both the key payload
-# and the stored blob: bumping it orphans every stale entry, and a
-# version-mismatched or corrupt file loads as a plain miss (the sweep
-# re-runs and overwrites it).  The cache is strictly opt-in — callers
-# pass ``cache_dir`` (CLI ``--cache-dir`` / ``$REPRO_CACHE_DIR``).
+# cannot help them.  With a cache directory, studies persist in one
+# result database, ``<cache_dir>/studies.db`` (a
+# :class:`~repro.results.store.ResultsStore`, the same schema
+# ``--results-db`` writes).  A complete ``studies`` row is the cache
+# entry; an incomplete row — its points plus its failures — is the
+# checkpoint an interrupted or degraded sweep resumes from.  Rows are
+# keyed by :func:`study_cache_key`, whose payload includes
+# ``SCHEMA_VERSION``, so bumping it orphans every stale row.  Reads
+# treat a missing or unusable file as a miss (the sweep re-runs); writes
+# raise :class:`~repro.errors.ResultStoreError`.  Concurrent writers
+# (service replicas sharing a cache directory) are serialised by
+# SQLite's own locking.  The cache is strictly opt-in — callers pass
+# ``cache_dir`` (CLI ``--cache-dir`` / ``$REPRO_CACHE_DIR``).
 
 #: Environment variable supplying a cache directory when no ``cache_dir``
 #: argument is given.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: File name of the study store inside a cache directory.
+CACHE_DB_NAME = "studies.db"
 
 
 def default_cache_dir() -> str:
@@ -182,141 +203,93 @@ def study_cache_key(config: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
-def study_cache_path(cache_dir: str, config: ExperimentConfig) -> str:
-    return os.path.join(cache_dir, f"study-{study_cache_key(config)}.pkl")
+def study_cache_path(cache_dir: str) -> str:
+    """The study store of one cache directory."""
+    return os.path.join(cache_dir, CACHE_DB_NAME)
 
 
-def save_study_cache(study: StudyResults, cache_dir: str) -> str:
-    """Persist a study under ``cache_dir``; returns the file path.
+def _load_stored(
+    config: ExperimentConfig, cache_dir: str
+) -> Optional[StudyResults]:
+    """The stored study for ``config``, complete or not; None on any miss.
 
-    The write is atomic (temp file + rename), so a concurrent reader
-    sees either the old entry or the new one, never a torn pickle; the
-    sidecar :class:`FileLock` additionally serialises concurrent
-    *writers* (two service replicas completing the same config), so
-    replicas sharing one cache directory never interleave.
+    A missing file, a file that is not a result database of this
+    schema version, and a row whose configuration does not match all
+    load as None — the caller re-simulates.
     """
-    os.makedirs(cache_dir, exist_ok=True)
-    path = study_cache_path(cache_dir, study.config)
-    blob = {"schema_version": SCHEMA_VERSION, "study": study}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with FileLock(f"{path}.lock"):
-        try:
-            with open(tmp, "wb") as f:
-                pickle.dump(blob, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return path
+    from repro.results.store import ResultsStore
+
+    try:
+        with ResultsStore(study_cache_path(cache_dir), create=False) as store:
+            return store.load_study(config)
+    except (ResultStoreError, sqlite3.Error):
+        return None
 
 
 def load_study_cache(
     config: ExperimentConfig, cache_dir: str
 ) -> Optional[StudyResults]:
-    """Load the cached study for ``config``, or None on any mismatch.
-
-    Missing files, unreadable pickles, schema-version drift, and
-    config mismatches (a hash collision, or a cache written by an
-    incompatible build) all return None — the caller re-simulates.
-    """
-    path = study_cache_path(cache_dir, config)
-    try:
-        with open(path, "rb") as f:
-            blob = pickle.load(f)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    if not isinstance(blob, dict) or blob.get("schema_version") != SCHEMA_VERSION:
-        return None
-    study = blob.get("study")
-    if not isinstance(study, StudyResults) or study.config != config:
-        return None
-    return study
-
-
-# ---- sweep checkpoints (interrupt/failure recovery) -----------------------
-#
-# A checkpoint is the completed slice of one sweep: a plain dict of
-# (stencil, platform, variant) -> SimulationResult, flushed periodically
-# by ``run_study`` while the sweep is in flight and finalised when it
-# ends degraded.  ``run_study(resume=True)`` preloads it, so a crashed,
-# interrupted, or partially-failed run finishes with zero re-simulation
-# of the points that already succeeded.  Checkpoints live next to the
-# full-study cache entries (same directory, same config hash,
-# ``.ckpt.pkl`` suffix) and are deleted once the sweep completes.
-
-
-def study_checkpoint_path(cache_dir: str, config: ExperimentConfig) -> str:
-    return os.path.join(
-        cache_dir, f"study-{study_cache_key(config)}.ckpt.pkl"
-    )
-
-
-def save_study_checkpoint(
-    config: ExperimentConfig, results: Dict, cache_dir: str
-) -> str:
-    """Atomically persist the completed slice of one sweep.
-
-    The flush is a read-merge-write under the sidecar lock: whatever a
-    concurrent process (another service replica, a parallel CLI run on
-    the same cache) already checkpointed for this config is folded in
-    before writing, with this caller's points winning ties.  Without the
-    merge, last-writer-wins could *regress* a checkpoint — replica A
-    flushes 40 points, replica B then replaces them with its own 8.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    path = study_checkpoint_path(cache_dir, config)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with FileLock(f"{path}.lock"):
-        existing = load_study_checkpoint(config, cache_dir) or {}
-        merged = {**existing, **dict(results)}
-        blob = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "results": merged,
-        }
-        try:
-            with open(tmp, "wb") as f:
-                pickle.dump(blob, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return path
+    """The cached *complete* study for ``config``, or None."""
+    study = _load_stored(config, cache_dir)
+    return study if study is not None and study.complete else None
 
 
 def load_study_checkpoint(
     config: ExperimentConfig, cache_dir: str
-) -> Optional[Dict]:
-    """Completed points of an earlier run, or None on any mismatch.
+) -> Optional[Dict[Key, Union[SimulationResult, FailedPoint]]]:
+    """Stored points and failures of an unfinished sweep, or None.
 
-    Missing files, unreadable pickles, schema drift, and config
-    mismatches all load as None — the sweep simply starts from scratch.
+    A complete study is the cache entry, not a checkpoint, so it loads
+    as None here; so does a missing or unusable store.
     """
-    path = study_checkpoint_path(cache_dir, config)
-    try:
-        with open(path, "rb") as f:
-            blob = pickle.load(f)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
+    study = _load_stored(config, cache_dir)
+    if study is None or study.complete:
         return None
-    if not isinstance(blob, dict) or blob.get("schema_version") != SCHEMA_VERSION:
-        return None
-    if blob.get("config") != config:
-        return None
-    results = blob.get("results")
-    if not isinstance(results, dict):
-        return None
-    return results
+    return {**study.results, **study.failed}
+
+
+def save_study_checkpoint(
+    config: ExperimentConfig,
+    results: Mapping[Key, Union[SimulationResult, FailedPoint]],
+    cache_dir: str,
+) -> str:
+    """Merge a slice of one sweep into the cache store; returns its path.
+
+    One transaction per call (:meth:`ResultsStore.merge_points`):
+    points already stored for ``config`` — by this sweep's earlier
+    flushes or by a concurrent process — are kept, so a flush only
+    needs the points completed since the last one, and no writer can
+    regress another's progress.  The study becomes the cache entry once
+    every point is stored.
+    """
+    from repro.results.store import ResultsStore
+
+    path = study_cache_path(cache_dir)
+    with ResultsStore(path) as store:
+        store.merge_points(config, results)
+    return path
+
+
+def save_study_cache(study: StudyResults, cache_dir: str) -> str:
+    """Store a whole study under ``cache_dir``; returns the store path."""
+    return save_study_checkpoint(
+        study.config, {**study.results, **study.failed}, cache_dir
+    )
 
 
 def clear_study_checkpoint(config: ExperimentConfig, cache_dir: str) -> None:
-    """Remove the checkpoint (the sweep completed; nothing to resume)."""
-    path = study_checkpoint_path(cache_dir, config)
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
+    """Drop the unfinished sweep stored for ``config``, if any.
+
+    A complete study is the cache entry and stays.
+    """
+    from repro.results.store import ResultsStore
+
+    if not os.path.exists(study_cache_path(cache_dir)):
+        return
+    with ResultsStore(study_cache_path(cache_dir)) as store:
+        record = store.study_record(config)
+        if record is not None and not record.complete:
+            store.delete_study(record.study_id)
 
 
 def compare_rows(old: List[Dict], new: List[Dict], rtol: float = 0.02) -> List[str]:

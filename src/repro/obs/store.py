@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.dbfile import open_versioned_db
 from repro.errors import ObservabilityError
 from repro.obs.export import span_to_dict, spans_from_dicts
 from repro.obs.metrics import (
@@ -191,31 +192,11 @@ class TelemetryStore:
     """
 
     def __init__(self, path: str, create: bool = True) -> None:
-        if not create and not os.path.exists(path):
-            raise ObservabilityError(f"no telemetry database at {path}")
         self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(path)
-        self._conn.row_factory = sqlite3.Row
-        self._check_schema()
-
-    def _check_schema(self) -> None:
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0:
-            with self._conn:
-                self._conn.executescript(_SCHEMA)
-                self._conn.execute(
-                    f"PRAGMA user_version = {STORE_SCHEMA_VERSION}"
-                )
-        elif version != STORE_SCHEMA_VERSION:
-            self._conn.close()
-            raise ObservabilityError(
-                f"telemetry database {self.path} has schema version "
-                f"{version}, this library writes version "
-                f"{STORE_SCHEMA_VERSION}; start a fresh database "
-                f"(cross-version comparisons would be meaningless)"
-            )
+        self._conn = open_versioned_db(
+            path, _SCHEMA, STORE_SCHEMA_VERSION, ObservabilityError,
+            "telemetry database", create=create,
+        )
 
     def close(self) -> None:
         self._conn.close()

@@ -1,6 +1,6 @@
 """``repro.resilience`` — fault tolerance for the execution engine.
 
-Four pieces, composed by :mod:`repro.exec.pool`, the sweep harness, and
+Three pieces, composed by :mod:`repro.exec.pool`, the sweep harness, and
 the serving layer:
 
 * :class:`RetryPolicy` + :func:`run_with_policy` — retry with
@@ -9,17 +9,13 @@ the serving layer:
 * :class:`TaskFailure` — the structured record a permanently failed
   task degrades into instead of killing a whole sweep;
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seeded
-  fault-injection harness for chaos tests and ``--inject-faults``;
-* :class:`FileLock` — an ``O_EXCL`` sidecar-file mutex with stale-lock
-  breaking, so replicas sharing a cache directory never interleave
-  read-merge-write critical sections.
+  fault-injection harness for chaos tests and ``--inject-faults``.
 
 Every retry, timeout, and injected fault is observable through the
 ``repro.obs`` counters (``exec.retries``, ``exec.timeouts``,
 ``exec.invalid_results``, ``faults.injected.*``).
 """
 
-from repro.resilience.locks import DEFAULT_STALE_S, FileLock
 from repro.resilience.faults import (
     FAULT_KINDS,
     CorruptPayload,
@@ -37,10 +33,8 @@ from repro.resilience.timeouts import call_with_timeout
 
 __all__ = [
     "DEFAULT_POLICY",
-    "DEFAULT_STALE_S",
     "FAULT_KINDS",
     "CorruptPayload",
-    "FileLock",
     "FaultPlan",
     "FaultSpec",
     "FaultyFunction",

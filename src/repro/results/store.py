@@ -1,14 +1,20 @@
 """Schema-versioned SQLite result store: every study, queryable.
 
-The pipeline used to persist studies three different ways — ad-hoc JSON
-(``dump_study``), ad-hoc CSV (``write_csv``), and pickled blobs (the
-study cache) — and nothing could answer a question across runs.  The
-:class:`ResultsStore` replaces all three as the *source of truth* (the
-pickle cache remains exactly that: a cache): a schema-versioned SQLite
-database (stdlib ``sqlite3``, following the
-:class:`~repro.obs.store.TelemetryStore` pattern) holding one row per
-matrix point, appendable across runs and deduplicated by
-:func:`~repro.harness.serialization.study_cache_key`.
+The :class:`ResultsStore` is the only on-disk form of a study: a
+schema-versioned SQLite database (stdlib ``sqlite3``, opened through
+:func:`repro.dbfile.open_versioned_db`) holding one row per matrix
+point, appendable across runs and deduplicated by
+:func:`~repro.harness.serialization.study_cache_key`.  It serves two
+roles with one schema:
+
+* the longitudinal history ``--results-db`` appends finished studies
+  to (:meth:`ResultsStore.ingest_study`) and ``report`` renders from;
+* the ``--cache-dir`` study cache (see
+  :mod:`repro.harness.serialization`), where a complete ``studies`` row
+  is a cache hit and an incomplete one is a sweep's checkpoint, grown
+  point by point by :meth:`ResultsStore.merge_points`.
+
+JSON (``dump_study``) and CSV (``write_csv``) stay as export formats.
 
 Tables:
 
@@ -45,11 +51,13 @@ import dataclasses
 import json
 import os
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.codegen.cost import ProgramCost
+from repro.dbfile import open_versioned_db
 from repro.errors import ResultStoreError
 from repro.gpu.progmodel import Platform, platform
 from repro.gpu.simulator import SimulationResult
@@ -58,6 +66,7 @@ from repro.gpu.traffic import Traffic
 from repro.harness.experiments import (
     ExperimentConfig,
     FailedPoint,
+    Key,
     StudyResults,
 )
 from repro.harness.reporting import FIELD_TYPES
@@ -182,6 +191,16 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _config_columns(config: ExperimentConfig) -> Tuple[str, str, str, str]:
+    """The ``studies`` columns (stencils, variants, domain, filter), as JSON."""
+    return (
+        json.dumps(list(config.stencils)),
+        json.dumps(list(config.variants)),
+        json.dumps(list(config.domain)),
+        json.dumps(list(config.platform_filter)),
+    )
+
+
 @dataclass(frozen=True)
 class StudyRecord:
     """One row of the ``studies`` table."""
@@ -231,39 +250,22 @@ class ResultsStore:
     """
 
     def __init__(self, path: str, create: bool = True) -> None:
-        if not create and not os.path.exists(path):
-            raise ResultStoreError(f"no result database at {path}")
         self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        # Unopenable paths and non-database files surface as
-        # ResultStoreError so best-effort ingestion hooks can treat
-        # every store failure uniformly.
+        self._conn = open_versioned_db(
+            path, _SCHEMA, RESULTS_SCHEMA_VERSION, ResultStoreError,
+            "result database", create=create,
+        )
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One write transaction; SQLite failures surface typed."""
         try:
-            self._conn = sqlite3.connect(path)
-            self._conn.row_factory = sqlite3.Row
-            self._check_schema()
+            with self._conn:
+                yield
         except sqlite3.Error as exc:
             raise ResultStoreError(
-                f"cannot open result database {path}: {exc}"
+                f"cannot write result database {self.path}: {exc}"
             ) from exc
-
-    def _check_schema(self) -> None:
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0:
-            with self._conn:
-                self._conn.executescript(_SCHEMA)
-                self._conn.execute(
-                    f"PRAGMA user_version = {RESULTS_SCHEMA_VERSION}"
-                )
-        elif version != RESULTS_SCHEMA_VERSION:
-            self._conn.close()
-            raise ResultStoreError(
-                f"result database {self.path} has schema version "
-                f"{version}, this library writes version "
-                f"{RESULTS_SCHEMA_VERSION}; start a fresh database "
-                f"(cross-version rows would reconstruct wrong)"
-            )
 
     def close(self) -> None:
         self._conn.close()
@@ -294,8 +296,7 @@ class ResultsStore:
         key = study_cache_key(study.config)
         if git_rev is None:
             git_rev = git_state()[0]
-        cfg = study.config
-        with self._conn:
+        with self._transaction():
             row = self._conn.execute(
                 "SELECT study_id, "
                 "(SELECT COUNT(*) FROM points WHERE study_id = s.study_id) "
@@ -316,32 +317,20 @@ class ResultsStore:
                     )
                 # The stored study is strictly worse (a degraded run
                 # this one resumed past): supersede it.
-                for table in ("points", "failures"):
-                    self._conn.execute(
-                        f"DELETE FROM {table} WHERE study_id = ?",
-                        (row["study_id"],),
-                    )
-                self._conn.execute(
-                    "DELETE FROM studies WHERE study_id = ?",
-                    (row["study_id"],),
-                )
+                self._delete_rows(row["study_id"])
                 replaced = True
             cur = self._conn.execute(
                 "INSERT INTO studies (config_hash, schema_version, stencils, "
                 "variants, domain, platform_filter, complete, source, "
                 "git_rev, created_utc) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    key, SCHEMA_VERSION,
-                    json.dumps(list(cfg.stencils)),
-                    json.dumps(list(cfg.variants)),
-                    json.dumps(list(cfg.domain)),
-                    json.dumps(list(cfg.platform_filter)),
+                    key, SCHEMA_VERSION, *_config_columns(study.config),
                     int(study.complete), source, git_rev, _utc_now(),
                 ),
             )
             study_id = int(cur.lastrowid or 0)
-            self._insert_points(study_id, study)
-            self._insert_failures(study_id, study)
+            self._insert_points(study_id, study.results.values())
+            self._insert_failures(study_id, study.failed.values())
         counter("results.ingests").inc()
         counter("results.points_ingested").inc(len(study.results))
         if replaced:
@@ -354,15 +343,84 @@ class ResultsStore:
             replaced=replaced,
         )
 
-    def _insert_points(self, study_id: int, study: StudyResults) -> None:
+    def merge_points(
+        self,
+        config: ExperimentConfig,
+        entries: Mapping[Key, Union[SimulationResult, FailedPoint]],
+    ) -> bool:
+        """Fold a slice of one sweep into its stored study, in one transaction.
+
+        This is the checkpoint write of the ``--cache-dir`` study cache.
+        The study's row is created, incomplete, by the first call.
+        Points upsert on their ``(study_id, stencil, platform, variant)``
+        key, so two writers of one config merge their slices instead of
+        one regressing the other.  A stored success clears that point's
+        failure, and a failure never shadows a success.  The row turns
+        complete once every matrix point has a success; the return value
+        says whether it has.  The row records source ``cache`` and git
+        revision ``unknown``: :func:`~repro.obs.store.git_state` runs two
+        ``git`` subprocesses, too slow for a per-flush write.
+        """
+        key = study_cache_key(config)
+        with self._transaction():
+            self._conn.execute(
+                "INSERT OR IGNORE INTO studies (config_hash, schema_version, "
+                "stencils, variants, domain, platform_filter, complete, "
+                "source, git_rev, created_utc) "
+                "VALUES (?, ?, ?, ?, ?, ?, 0, 'cache', 'unknown', ?)",
+                (key, SCHEMA_VERSION, *_config_columns(config), _utc_now()),
+            )
+            study_id = self._conn.execute(
+                "SELECT study_id FROM studies WHERE config_hash = ? AND "
+                "schema_version = ?",
+                (key, SCHEMA_VERSION),
+            ).fetchone()[0]
+            values = entries.values()
+            self._insert_points(
+                study_id, (v for v in values if isinstance(v, SimulationResult))
+            )
+            self._insert_failures(
+                study_id, (v for v in values if isinstance(v, FailedPoint))
+            )
+            self._conn.execute(
+                "DELETE FROM failures WHERE study_id = ? AND EXISTS ("
+                "SELECT 1 FROM points p WHERE p.study_id = failures.study_id "
+                "AND p.stencil = failures.stencil "
+                "AND p.platform = failures.platform "
+                "AND p.variant = failures.variant)",
+                (study_id,),
+            )
+            npoints = self._conn.execute(
+                "SELECT COUNT(*) FROM points WHERE study_id = ?", (study_id,)
+            ).fetchone()[0]
+            complete = npoints == len(config.keys())
+            self._conn.execute(
+                "UPDATE studies SET complete = ? WHERE study_id = ?",
+                (int(complete), study_id),
+            )
+        return complete
+
+    def delete_study(self, study_id: int) -> None:
+        """Remove one study with its points and failures."""
+        with self._transaction():
+            self._delete_rows(study_id)
+
+    def _delete_rows(self, study_id: int) -> None:
+        for table in ("points", "failures", "studies"):
+            self._conn.execute(
+                f"DELETE FROM {table} WHERE study_id = ?", (study_id,)
+            )
+
+    def _insert_points(
+        self, study_id: int, results: Iterable[SimulationResult]
+    ) -> None:
         columns = (
             ("stencil", "platform", "variant", "strategy", "flops")
             + TRAFFIC_FIELDS + TIMING_FIELDS + COST_FIELDS
         )
         placeholders = ", ".join("?" for _ in range(len(columns) + 1))
         rows = []
-        for key in sorted(study.results):
-            r = study.results[key]
+        for r in results:
             values: List[Any] = [
                 study_id, r.stencil_name, r.platform.name, r.variant,
                 r.strategy, int(r.flops),
@@ -373,23 +431,25 @@ class ResultsStore:
             rows.append(tuple(values))
         if rows:
             self._conn.executemany(
-                f"INSERT INTO points (study_id, {', '.join(columns)}) "
+                f"INSERT OR REPLACE INTO points (study_id, {', '.join(columns)}) "
                 f"VALUES ({placeholders})",
                 rows,
             )
 
-    def _insert_failures(self, study_id: int, study: StudyResults) -> None:
+    def _insert_failures(
+        self, study_id: int, failures: Iterable[FailedPoint]
+    ) -> None:
         rows = [
             (
                 study_id, fp.stencil, fp.platform, fp.variant,
                 fp.error_type, fp.message, fp.attempts, int(fp.timed_out),
             )
-            for _, fp in sorted(study.failed.items())
+            for fp in failures
         ]
         if rows:
             self._conn.executemany(
-                "INSERT INTO failures (study_id, stencil, platform, variant, "
-                "error_type, message, attempts, timed_out) "
+                "INSERT OR REPLACE INTO failures (study_id, stencil, platform, "
+                "variant, error_type, message, attempts, timed_out) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
@@ -410,7 +470,7 @@ class ResultsStore:
         """
         if git_rev is None:
             git_rev = git_state()[0]
-        with self._conn:
+        with self._transaction():
             cur = self._conn.execute(
                 "INSERT INTO bench_runs (source, git_rev, created_utc, doc) "
                 "VALUES (?, ?, ?, ?)",

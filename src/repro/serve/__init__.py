@@ -19,9 +19,9 @@ worker pool instead of each paying a cold sweep:
 * **Crash safety** — an optional write-ahead :class:`JobJournal`
   (SQLite) replayed on startup, supervised worker *processes*
   (``backend="process"``) with heartbeats/deadline kills/poison
-  quarantine via :class:`Supervisor`, and lockfile-coordinated shared
-  cache writes, so ``kill -9`` mid-sweep loses at most one checkpoint
-  interval.
+  quarantine via :class:`Supervisor`, and a shared ``--cache-dir``
+  result database whose checkpoint writes are SQLite transactions, so
+  ``kill -9`` mid-sweep loses at most one checkpoint interval.
 
 Embed it (tests, benches) with :func:`start_server`; run it from the
 CLI with ``repro-stencil serve`` and talk to it with

@@ -4,8 +4,8 @@ The orchestrator's in-memory registry is exactly the state a process
 crash destroys: which jobs were accepted, which were running, which
 finished and where their results live.  The :class:`JobJournal` writes
 that state *ahead* of the work to a schema-versioned SQLite database
-(stdlib ``sqlite3``, same ``PRAGMA user_version`` contract as
-:mod:`repro.obs.store`), so a restart can rebuild the registry instead
+(stdlib ``sqlite3``, opened through :func:`repro.dbfile.open_versioned_db`
+like every other store), so a restart can rebuild the registry instead
 of orphaning every queued and running job:
 
 * **jobs** — one row per accepted job: id, config + options documents
@@ -22,8 +22,8 @@ fsync-swallowing power loss could lose the tail, which is out of scope
 for a service whose failure drill is process murder.  Writes are tiny
 (one row per transition) and happen on the submission / completion
 paths, never per matrix point — per-point durability is the study
-checkpoint's job (``study-<hash>.ckpt.pkl``), which is what replayed
-``running`` jobs resume from.
+checkpoint's job (the incomplete study rows of the ``--cache-dir``
+result store), which is what replayed ``running`` jobs resume from.
 
 Replay contract (:meth:`JobJournal.replay`): rows come back in
 submission order, so the orchestrator re-enqueues ``queued`` jobs
@@ -37,13 +37,13 @@ every boot cannot crash-loop it forever.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
+from repro.dbfile import open_versioned_db
 from repro.errors import JournalError
 
 __all__ = ["JOURNAL_SCHEMA_VERSION", "JobJournal", "JournalRecord"]
@@ -111,30 +111,11 @@ class JobJournal:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
         self._lock = threading.Lock()
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.row_factory = sqlite3.Row
-        self._check_schema()
-
-    def _check_schema(self) -> None:
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0:
-            with self._conn:
-                self._conn.executescript(_SCHEMA)
-                self._conn.execute(
-                    f"PRAGMA user_version = {JOURNAL_SCHEMA_VERSION}"
-                )
-        elif version != JOURNAL_SCHEMA_VERSION:
-            self._conn.close()
-            raise JournalError(
-                f"job journal {self.path} has schema version {version}, "
-                f"this library writes version {JOURNAL_SCHEMA_VERSION}; "
-                f"replaying a mismatched journal could corrupt job state — "
-                f"drain it with the matching build or start fresh"
-            )
+        self._conn = open_versioned_db(
+            path, _SCHEMA, JOURNAL_SCHEMA_VERSION, JournalError,
+            "job journal", wal=True, check_same_thread=False,
+        )
 
     def close(self) -> None:
         self._conn.close()

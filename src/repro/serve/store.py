@@ -1,17 +1,16 @@
-"""Shared result store: the persistent study cache, promoted.
+"""Shared result store: the ``--cache-dir`` study store, fronted in memory.
 
-PR 2's on-disk study cache (:mod:`repro.harness.serialization`) already
-keys complete :class:`StudyResults` by a content hash of the sweep
+The on-disk study cache (:mod:`repro.harness.serialization`) keys
+complete :class:`StudyResults` by a content hash of the sweep
 configuration — exactly the dedup identity a multi-tenant service
-needs.  This module promotes it to a *shared* store: a thread-safe
-in-memory map fronting the same pickle files, so
+needs.  This module fronts it with a thread-safe in-memory map, so
 
 * a request for a config any earlier job completed is served with zero
   ``simulate`` calls (the acceptance contract of the serving PR);
 * a service restart warm-starts from whatever the CLI or a previous
-  server process left in the cache directory (and vice versa — results
-  computed by the service are visible to ``repro-stencil --cache-dir``
-  runs).
+  server process left in the cache directory's result database (and
+  vice versa — results computed by the service are visible to
+  ``repro-stencil --cache-dir`` runs).
 
 Only *complete* studies enter the store: a degraded result (failed
 points) must never be dedup-served to a tenant who would have retried,
@@ -50,7 +49,7 @@ class ResultStore:
 
     ``cache_dir=None`` keeps the store purely in-memory (tests, or a
     deliberately stateless server); otherwise it reads and writes the
-    same ``study-<hash>.pkl`` entries as the CLI's ``--cache-dir``.
+    same result database as the CLI's ``--cache-dir``.
     """
 
     def __init__(
@@ -87,8 +86,8 @@ class ResultStore:
 
         Memory first; on a miss, the disk cache is consulted and a hit
         is promoted into memory (counted as ``serve.store.disk_hits``).
-        The disk read happens *outside* the lock — an unpickle can take
-        milliseconds and must not block every other tenant's lookup —
+        The disk read happens *outside* the lock — rebuilding a study
+        from its rows can take milliseconds and must not block every other tenant's lookup —
         so two threads missing on the same key may both load the file;
         :meth:`_promote` makes the insert idempotent (first one wins,
         the loser's copy is discarded and counted as
@@ -133,7 +132,7 @@ class ResultStore:
         key = study_cache_key(study.config)
         with self._lock:
             self._memory[key] = study
-            if self.cache_dir:
-                save_study_cache(study, self.cache_dir)
+        if self.cache_dir:
+            save_study_cache(study, self.cache_dir)
         self._ingest(study, source="serve.put")
         return True

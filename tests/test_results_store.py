@@ -296,6 +296,22 @@ class TestWiring:
         study = harness.run_study(SMALL, results_db=db)
         assert study.complete
 
+    def test_ingest_into_another_kind_of_database_is_best_effort(
+        self, tmp_path
+    ):
+        from repro import obs
+
+        db = str(tmp_path / "telemetry.db")
+        obs.TelemetryStore(db).close()
+        prev = obs.get_registry()
+        registry = obs.set_registry(obs.MetricsRegistry())
+        try:
+            study = harness.run_study(SMALL, results_db=db)
+        finally:
+            obs.set_registry(prev)
+        assert study.complete and len(study) == len(SMALL.keys())
+        assert registry.counter("results.ingest_errors").value == 1
+
     def test_serve_store_put_ingests(self, small_study, tmp_path):
         from repro.serve import ResultStore as ServeStore
 

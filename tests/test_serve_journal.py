@@ -1,6 +1,5 @@
 """Durable job journal: schema guard, write-ahead records, replay."""
 
-import os
 import sqlite3
 import threading
 
@@ -9,7 +8,6 @@ import pytest
 from repro import obs
 from repro.errors import JournalError
 from repro.harness.experiments import ExperimentConfig
-from repro.resilience import FileLock
 from repro.serve import (
     JOURNAL_SCHEMA_VERSION,
     JobJournal,
@@ -315,64 +313,3 @@ class TestOrchestratorReplay:
         assert o2.recover() == 6
         assert len(o2.queue) == 6
         o2.close()
-
-
-class TestFileLock:
-    def test_exclusive_and_release(self, tmp_path):
-        path = str(tmp_path / "x.lock")
-        with FileLock(path):
-            assert os.path.exists(path)
-            inner = FileLock(path, timeout_s=0.05, steal_on_timeout=False)
-            from repro.errors import ExecutionError
-
-            with pytest.raises(ExecutionError, match="could not acquire"):
-                inner.acquire()
-        assert not os.path.exists(path)
-
-    def test_stale_lock_from_dead_pid_is_broken(self, tmp_path, registry):
-        path = str(tmp_path / "x.lock")
-        with open(path, "w") as f:
-            f.write("999999999 0.0")  # dead pid, ancient stamp
-        with FileLock(path, timeout_s=5.0):
-            pass
-        assert registry.get("locks.stale_broken").value >= 1
-
-    def test_steal_on_timeout(self, tmp_path, registry):
-        import time
-
-        path = str(tmp_path / "x.lock")
-        with open(path, "w") as f:
-            f.write(f"{os.getpid()} {time.time()}")  # live owner (us)
-        with FileLock(path, timeout_s=0.05, stale_s=60.0):
-            pass
-        assert registry.get("locks.stolen").value == 1
-
-    def test_not_reentrant(self, tmp_path):
-        from repro.errors import ExecutionError
-
-        lock = FileLock(str(tmp_path / "x.lock"))
-        with lock:
-            with pytest.raises(ExecutionError, match="not reentrant"):
-                lock.acquire()
-
-    def test_contention_between_threads(self, tmp_path):
-        path = str(tmp_path / "x.lock")
-        order = []
-
-        def worker(n):
-            with FileLock(path, poll_s=0.005):
-                order.append(("enter", n))
-                order.append(("exit", n))
-
-        threads = [
-            threading.Thread(target=worker, args=(n,)) for n in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Critical sections never interleave: every enter is followed by
-        # its own exit.
-        for i in range(0, len(order), 2):
-            assert order[i][0] == "enter"
-            assert order[i + 1] == ("exit", order[i][1])

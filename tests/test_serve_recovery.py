@@ -2,15 +2,15 @@
 
 These boot ``repro-stencil serve`` as a subprocess (the same way CI's
 service smoke does) so the recovery path is exercised end-to-end: real
-journal file, real checkpoint files, a real ``SIGKILL`` with no chance
+journal file, a real cache store with checkpointed points, a real ``SIGKILL`` with no chance
 to flush anything, and a cold restart on the same state.
 """
 
-import glob
 import json
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -68,6 +68,25 @@ def boot(*extra):
     return proc, client
 
 
+def store_has_points(cache):
+    """Whether the cache store holds at least one ``points`` row.
+
+    A read-only query, so the probe never creates or locks the file
+    for writing; a store not yet created (or mid-creation) reads False.
+    """
+    uri = f"file:{harness.study_cache_path(cache)}?mode=ro"
+    try:
+        conn = sqlite3.connect(uri, uri=True)
+        try:
+            return conn.execute(
+                "SELECT EXISTS (SELECT 1 FROM points)"
+            ).fetchone()[0] == 1
+        finally:
+            conn.close()
+    except sqlite3.Error:
+        return False
+
+
 def sigterm(proc, timeout_s=60):
     proc.send_signal(signal.SIGTERM)
     output, _ = proc.communicate(timeout=timeout_s)
@@ -93,12 +112,12 @@ class TestKillDashNine:
         )
         job = client.submit(RECOVERY_DOC)
         job_id = job["job_id"]
-        # SIGKILL the instant the first checkpoint flush hits the disk:
-        # the sweep is provably mid-flight with completed points saved.
+        # SIGKILL the instant the first checkpoint flush commits: the
+        # sweep is provably mid-flight with completed points saved.
         deadline = time.monotonic() + 60.0
         killed = False
         while time.monotonic() < deadline:
-            if glob.glob(os.path.join(cache, "*.ckpt.pkl")):
+            if store_has_points(cache):
                 proc.kill()  # SIGKILL: no drain, no journal flush
                 proc.wait(timeout=30)
                 killed = True

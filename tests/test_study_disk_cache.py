@@ -1,6 +1,7 @@
 """Persistent result caches: the on-disk study cache and the codegen memo."""
 
-import pickle
+import os
+import sqlite3
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.bricks.layout import BrickDims
 from repro.codegen import CodegenOptions, clear_codegen_memo, generate
 from repro.dsl.shapes import by_name
 from repro.harness import serialization
+from repro.results import RESULTS_SCHEMA_VERSION
 
 SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
 
@@ -25,7 +27,7 @@ class TestDiskCache:
     def test_round_trip(self, tmp_path):
         study = harness.run_study(SMALL)
         path = serialization.save_study_cache(study, str(tmp_path))
-        assert path == serialization.study_cache_path(str(tmp_path), SMALL)
+        assert path == serialization.study_cache_path(str(tmp_path))
         loaded = serialization.load_study_cache(SMALL, str(tmp_path))
         assert loaded is not None
         assert loaded.config == SMALL
@@ -41,19 +43,30 @@ class TestDiskCache:
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
         study = harness.run_study(SMALL)
         path = serialization.save_study_cache(study, str(tmp_path))
-        with open(path, "rb") as f:
-            blob = pickle.load(f)
-        blob["schema_version"] = serialization.SCHEMA_VERSION + 1
-        with open(path, "wb") as f:
-            pickle.dump(blob, f)
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                f"PRAGMA user_version = {RESULTS_SCHEMA_VERSION + 1}"
+            )
         assert serialization.load_study_cache(SMALL, str(tmp_path)) is None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        path = serialization.study_cache_path(str(tmp_path), SMALL)
-        tmp_path.mkdir(exist_ok=True)
+    def test_corrupt_entry_is_a_miss(self, tmp_path, registry):
+        """A garbage file where the store belongs: a miss, and the sweep runs."""
+        path = serialization.study_cache_path(str(tmp_path))
         with open(path, "wb") as f:
-            f.write(b"not a pickle at all")
+            f.write(b"not a database at all")
         assert serialization.load_study_cache(SMALL, str(tmp_path)) is None
+        harness.clear_study_cache()
+        try:
+            study = harness.cached_study(SMALL, cache_dir=str(tmp_path))
+        finally:
+            harness.clear_study_cache()
+        assert study.complete and len(study) == 15
+        assert registry.counter("study_disk_cache.misses").value == 1
+        assert registry.counter("simulate.calls").value == 15
+        # The checkpoint write fails once and is switched off, not fatal.
+        assert registry.counter("study_cache.write_errors").value == 1
+        with open(path, "rb") as f:
+            assert f.read() == b"not a database at all"
 
     def test_cached_study_warm_disk_skips_simulation(self, tmp_path, registry):
         harness.clear_study_cache()
@@ -71,6 +84,24 @@ class TestDiskCache:
         finally:
             harness.clear_study_cache()
 
+    def test_disk_hit_dumps_byte_identical(self, tmp_path, registry):
+        cache_dir = str(tmp_path / "cache")
+        harness.clear_study_cache()
+        try:
+            harness.cached_study(SMALL, cache_dir=cache_dir)
+            harness.clear_study_cache()
+            reg = obs.set_registry(obs.MetricsRegistry())
+            warm = harness.cached_study(SMALL, cache_dir=cache_dir)
+            assert reg.counter("study_disk_cache.hits").value == 1
+            assert reg.counter("simulate.calls").value == 0
+        finally:
+            harness.clear_study_cache()
+        harness.dump_study(warm, str(tmp_path / "warm.json"))
+        harness.dump_study(harness.run_study(SMALL), str(tmp_path / "fresh.json"))
+        assert (tmp_path / "warm.json").read_bytes() == (
+            tmp_path / "fresh.json"
+        ).read_bytes()
+
     def test_no_cache_dir_never_touches_disk(self, tmp_path, monkeypatch):
         monkeypatch.delenv(serialization.CACHE_DIR_ENV, raising=False)
         harness.clear_study_cache()
@@ -87,7 +118,8 @@ class TestDiskCache:
             harness.cached_study(SMALL)
         finally:
             harness.clear_study_cache()
-        assert list(tmp_path.glob("study-*.pkl"))
+        assert os.path.exists(serialization.study_cache_path(str(tmp_path)))
+        assert not list(tmp_path.glob("*.pkl"))
 
 
 class TestCliWarmCache:

@@ -1,9 +1,11 @@
 """Checkpoint/resume: an interrupted sweep finishes with zero rework.
 
-With a cache directory, ``run_study`` flushes completed points to an
-atomic checkpoint as it goes; ``resume=True`` preloads that checkpoint
-so only the missing points are re-simulated.  A completed sweep clears
-its checkpoint (the full-study disk cache takes over from there).
+With a cache directory, ``run_study`` merges completed points into the
+cache directory's result database as it goes, one transaction per
+flush; the incomplete study row is the checkpoint.  ``resume=True``
+preloads it so only the missing points are re-simulated.  Once every
+point is stored the row is complete: it is the cache entry from then
+on, and no longer a checkpoint.
 """
 
 import pytest
@@ -215,17 +217,69 @@ class TestInterruptAndResume:
         assert serialization.load_study_checkpoint(CONFIG, cache_dir) is None
 
 
+def _write_half(cache_dir, parity, barrier):
+    """One writer of the two-process merge test: every other point."""
+    study = harness.run_study(CONFIG)
+    barrier.wait()
+    for n, (key, result) in enumerate(study.results.items()):
+        if n % 2 == parity:
+            serialization.save_study_checkpoint(
+                CONFIG, {key: result}, cache_dir
+            )
+
+
 class TestCheckpointStore:
+    def _slice(self, start, stop):
+        study = harness.run_study(CONFIG)
+        return dict(list(study.results.items())[start:stop])
+
     def test_roundtrip(self, tmp_path):
         cache_dir = str(tmp_path)
-        results = {("7pt", "A100-CUDA", "array"): "sentinel"}
+        results = self._slice(0, 2)
         path = serialization.save_study_checkpoint(CONFIG, results, cache_dir)
-        assert path == serialization.study_checkpoint_path(cache_dir, CONFIG)
+        assert path == serialization.study_cache_path(cache_dir)
         assert serialization.load_study_checkpoint(CONFIG, cache_dir) == results
+
+    def test_flushes_merge_instead_of_overwriting(self, tmp_path):
+        cache_dir = str(tmp_path)
+        first, second = self._slice(0, 2), self._slice(2, 5)
+        serialization.save_study_checkpoint(CONFIG, first, cache_dir)
+        serialization.save_study_checkpoint(CONFIG, second, cache_dir)
+        loaded = serialization.load_study_checkpoint(CONFIG, cache_dir)
+        assert loaded == {**first, **second}
+
+    def test_failure_never_shadows_a_stored_success(self, tmp_path):
+        cache_dir = str(tmp_path)
+        stored = self._slice(0, 1)
+        (key,) = stored
+        failure = harness.FailedPoint(*key, "SimulationError", "boom", 1, False)
+        serialization.save_study_checkpoint(CONFIG, stored, cache_dir)
+        serialization.save_study_checkpoint(CONFIG, {key: failure}, cache_dir)
+        assert serialization.load_study_checkpoint(CONFIG, cache_dir) == stored
+
+    def test_two_processes_merge_their_points(self, tmp_path):
+        """Writers interleaving flushes for one config keep the union."""
+        import multiprocessing
+
+        cache_dir = str(tmp_path)
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        writers = [
+            ctx.Process(target=_write_half, args=(cache_dir, parity, barrier))
+            for parity in (0, 1)
+        ]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(60)
+        assert [w.exitcode for w in writers] == [0, 0]
+        cached = serialization.load_study_cache(CONFIG, cache_dir)
+        assert cached is not None and cached.complete
+        assert cached.results == harness.run_study(CONFIG).results
 
     def test_config_mismatch_loads_none(self, tmp_path):
         cache_dir = str(tmp_path)
-        serialization.save_study_checkpoint(CONFIG, {}, cache_dir)
+        serialization.save_study_checkpoint(CONFIG, self._slice(0, 2), cache_dir)
         other = harness.ExperimentConfig(
             stencils=("7pt",), domain=(64, 64, 64),
             platform_filter=("A100-CUDA",),
@@ -234,21 +288,25 @@ class TestCheckpointStore:
 
     def test_corrupt_file_loads_none(self, tmp_path):
         cache_dir = str(tmp_path)
-        serialization.save_study_checkpoint(CONFIG, {}, cache_dir)
-        with open(
-            serialization.study_checkpoint_path(cache_dir, CONFIG), "wb"
-        ) as f:
-            f.write(b"not a pickle")
+        with open(serialization.study_cache_path(cache_dir), "wb") as f:
+            f.write(b"not a database")
         assert serialization.load_study_checkpoint(CONFIG, cache_dir) is None
 
     def test_missing_file_loads_none(self, tmp_path):
         assert (
             serialization.load_study_checkpoint(CONFIG, str(tmp_path)) is None
         )
+        assert list(tmp_path.iterdir()) == []  # a read creates nothing
 
     def test_clear_is_idempotent(self, tmp_path):
         cache_dir = str(tmp_path)
-        serialization.save_study_checkpoint(CONFIG, {}, cache_dir)
+        serialization.save_study_checkpoint(CONFIG, self._slice(0, 2), cache_dir)
         serialization.clear_study_checkpoint(CONFIG, cache_dir)
         serialization.clear_study_checkpoint(CONFIG, cache_dir)  # no error
         assert serialization.load_study_checkpoint(CONFIG, cache_dir) is None
+
+    def test_clear_keeps_a_complete_study(self, tmp_path):
+        cache_dir = str(tmp_path)
+        serialization.save_study_cache(harness.run_study(CONFIG), cache_dir)
+        serialization.clear_study_checkpoint(CONFIG, cache_dir)
+        assert serialization.load_study_cache(CONFIG, cache_dir) is not None
