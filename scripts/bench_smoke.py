@@ -337,7 +337,7 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
 
     # (c): 100k-point batch vs a scalar baseline probe.  Two reps, best
     # taken (standard min-of-N timing): the first rep pays one-off heap
-    # growth for ~500k result objects on top of the cold codegen memo,
+    # growth for the result columns on top of the cold codegen memo,
     # which is allocator warm-up, not engine throughput.  Both are
     # recorded; each rep clears the codegen memo so codegen stays cold.
     matrix = _batch_matrix()

@@ -37,9 +37,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import counter, gauge, span
+
+if TYPE_CHECKING:
+    from repro.gpu.batch import BatchResults, Outcome
 
 __all__ = [
     "POOL_PER_WORKER_S",
@@ -134,17 +137,20 @@ def break_even_points(
 def map_study_points(
     items: Sequence[Any],
     *,
-    on_result: Optional[Callable[[int, Any], None]] = None,
+    on_result: Optional[Callable[[int, Outcome], None]] = None,
     check_invariants: Optional[bool] = None,
-) -> List[Any]:
+) -> BatchResults:
     """Evaluate study items as one batch call, capturing failures.
 
-    Returns one :class:`~repro.gpu.simulator.SimulationResult` or
-    :class:`~repro.resilience.TaskFailure` per item, in item order;
+    Returns the batch's :class:`~repro.gpu.batch.BatchResults`: one
+    :class:`~repro.gpu.simulator.SimulationResult` or
+    :class:`~repro.resilience.TaskFailure` per item, in item order,
+    each built from the evaluated columns only when read.
     ``on_result`` fires as ``(index, result)`` in item order (the
-    checkpoint hook contract).  No retry policy applies: the batch is
-    deterministic pure math, and its failure records match what the
-    policy would produce for the same deterministic error.  Callers
+    checkpoint hook contract), as each chunk completes.  No retry
+    policy applies: the batch is deterministic pure math, and its
+    failure records match what the policy would produce for the same
+    deterministic error.  Callers
     route points carrying injected faults through the scalar
     :func:`repro.exec.parallel_map` instead.
     """
@@ -172,7 +178,7 @@ def microbatch_study_points(
     groups: Sequence[Sequence[Any]],
     *,
     check_invariants: Optional[bool] = None,
-) -> List[List[Any]]:
+) -> List[List[Outcome]]:
     """Evaluate several small item lists as ONE batch call.
 
     The serving layer's micro-batching primitive: ``groups`` holds one
@@ -180,10 +186,12 @@ def microbatch_study_points(
     concatenated into a single :func:`map_study_points` sweep — so N
     tiny tenant studies pay the batch engine's per-group setup
     (codegen, cost model) once per *unique* configuration instead of
-    once per request.  Results come back split per group, exactly what
-    each caller's own :func:`map_study_points` call would have
-    produced, since the batch engine is bit-identical point-wise and
-    per-point failure records do not depend on batch composition.
+    once per request.  Results come back split per group, each a list
+    of built results (a slice of the batch's
+    :class:`~repro.gpu.batch.BatchResults`) equal to what each caller's
+    own :func:`map_study_points` call would have produced, since the
+    batch engine is bit-identical point-wise and per-point failure
+    records do not depend on batch composition.
 
     Callers route only *clean* work here (no fault plans — injected
     faults need the scalar retry path, which micro-batching would
@@ -197,7 +205,7 @@ def microbatch_study_points(
         outcomes = map_study_points(flat, check_invariants=check_invariants)
     counter("exec.dispatch.microbatch.groups").inc(len(groups))
     counter("exec.dispatch.microbatch.points").inc(len(flat))
-    split: List[List[Any]] = []
+    split: List[List[Outcome]] = []
     start = 0
     for group in groups:
         split.append(outcomes[start:start + len(group)])

@@ -10,7 +10,7 @@ The substitution for the paper's Perlmutter/Crusher/Florentia testbeds::
 """
 
 from repro.gpu.arch import ARCHITECTURES, A100, MI250X, PVC, GPUArchitecture, architecture
-from repro.gpu.batch import DEFAULT_CHUNK, BatchPoint, simulate_batch
+from repro.gpu.batch import DEFAULT_CHUNK, BatchPoint, BatchResults, simulate_batch
 from repro.gpu.cache import CacheSim, CacheStats, dense_row_lines
 from repro.gpu.coalesce import (
     LINE_BYTES,
@@ -40,6 +40,7 @@ __all__ = [
     "A100",
     "ARCHITECTURES",
     "BatchPoint",
+    "BatchResults",
     "CacheSim",
     "CacheStats",
     "DEFAULT_CHUNK",

@@ -3,13 +3,17 @@
 :func:`simulate_batch` evaluates a whole (stencil x platform x variant
 x tile x domain) matrix without running a Python loop of scalar
 :func:`~repro.gpu.simulator.simulate` calls.  Per-group work runs once
-per group and per-point work runs as array ops or one tight loop:
+per group and per-point work runs as array ops:
 
-1. **group resolution** — points sharing a (stencil signature, tile,
-   vector length, strategy, platform, variant) share one ``_Group``:
-   its program, its cost, the normalised FLOPs per point and every
-   per-group scalar of the formulas.  Costs are memoised beside the
-   codegen memo (``codegen.generator.COST_MEMO``, emptied by
+1. **keyed group resolution** — points sharing a (stencil signature,
+   tile, vector length, strategy, platform, variant) share one
+   ``_Group``: its program, its cost, the normalised FLOPs per point
+   and every per-group scalar of the formulas.  Each chunk builds one
+   ``(id(stencil), id(platform), variant, dims, vector_length)`` key
+   per point and makes one dict lookup per key; only a miss pays the
+   full resolution (variant check, tile/VL defaults, codegen memo key).
+   Costs are memoised beside the codegen memo
+   (``codegen.generator.COST_MEMO``, emptied by
    ``clear_codegen_memo()``), so ``cost_of`` runs once per program per
    process, not once per call.  The domain axis — the axis a 100k-point
    sweep actually multiplies — adds *no* groups;
@@ -26,10 +30,21 @@ per group and per-point work runs as array ops or one tight loop:
    (bandwidth denominators, occupancy's ``** 0.5``) is computed once per
    group in plain Python — so every result float is bit-identical to
    the scalar path;
-4. **assembly** — one loop zips the chunk, its groups and the evaluated
-   columns into the same frozen dataclasses the scalar path returns;
-   ``ndarray.tolist()`` hands back native Python ``int``/``float``
-   objects, so even the *types* of every field match the oracle.
+4. **columnar results** — the call returns a :class:`BatchResults`
+   sequence holding the 13 evaluated columns as NumPy arrays plus each
+   point's row, group and failure record.  A
+   :class:`~repro.gpu.simulator.SimulationResult` (and its ``Traffic``
+   / ``TimingBreakdown``) is built only when an entry is read, through
+   ``__getitem__`` or ``__iter__``, which gather the columns for the
+   entries read and hand back native Python ``int``/``float`` objects
+   through ``tolist()``, so even the *types* of every built field match
+   the oracle.  A sweep that reads a few points pays for a few
+   objects, not for 100k.
+
+Three paths still build results point by point, because their contract
+is per point: invariant validation, the ``on_result`` hook (fired in
+input order as each chunk completes) and the raise-on-earliest-failure
+path.
 
 This is the one engine every analytic sweep runs on: the study
 (:func:`repro.harness.run_study`), the serving layer's micro-batches and
@@ -43,10 +58,10 @@ Observability: one ``sweep.batch`` span (with ``points``/``groups``/
 chunk, and the per-point counters (``simulate.calls``,
 ``simulate.tiles``, ``codegen.vector_ops``, and
 ``simulate.invariant_violations`` under ``REPRO_VALIDATE``) are bumped
-by exactly the amounts a scalar loop over the same points would bump
-them.  Per-point ``study.point``/``simulate`` spans belong to the
-scalar path (a study's fault-injected points) — at 100k points they
-*are* the overhead this module removes.
+once per chunk, by array sums equal to the amounts a scalar loop over
+the same points would bump them.  Per-point ``study.point``/``simulate``
+spans belong to the scalar path (a study's fault-injected points) — at
+100k points they *are* the overhead this module removes.
 
 Failure semantics mirror the resilient scalar engine: with
 ``capture_failures=True`` a point whose resolution, tile or invariant check
@@ -59,8 +74,10 @@ counters of the points a scalar loop would have completed first.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,12 +105,18 @@ from repro.obs import counter, gauge, span
 from repro.resilience.policy import TaskFailure
 from repro.util import ceil_div, dims_to_shape, prod
 
-__all__ = ["DEFAULT_CHUNK", "BatchPoint", "simulate_batch"]
+__all__ = ["DEFAULT_CHUNK", "BatchPoint", "BatchResults", "simulate_batch"]
+
+#: One entry of a batch: a result, or a captured failure record.
+Outcome = Union[SimulationResult, TaskFailure]
 
 #: Points per vectorised chunk: large enough to amortise the NumPy call
 #: overhead, small enough that checkpoint hooks and progress metrics
 #: fire at a useful cadence on 100k-point sweeps.
 DEFAULT_CHUNK = 16384
+
+#: Position of the tile-count column among the evaluated columns.
+_NTILES = 11
 
 
 @dataclass(frozen=True)
@@ -158,39 +181,57 @@ class _GroupTable:
 
     def __init__(self) -> None:
         self._by_key: Dict[Tuple, _Group] = {}
-        self._fast: Dict[Tuple, _Group] = {}
+        self._fast: Dict[Tuple, int] = {}
         self.groups: List[_Group] = []
 
     def __len__(self) -> int:
         return len(self.groups)
 
-    def resolve(self, point: BatchPoint) -> _Group:
-        """The group for ``point``, building codegen/cost on first sight.
+    def column(self, field: str, dtype: type = np.int64) -> np.ndarray:
+        """One per-group field as an array indexed by group index."""
+        return np.array([getattr(g, field) for g in self.groups], dtype=dtype)
 
-        Raises exactly what the scalar path would raise for this point
+    def resolve_chunk(
+        self, chunk: Sequence[BatchPoint]
+    ) -> Tuple[List[int], Dict[int, Exception]]:
+        """Each point's group index (``-1`` where resolution raised).
+
+        Returns the indices and the errors by chunk position; an error
+        is exactly what the scalar path would raise for that point
         (unknown variant, codegen validation, ...).
 
-        The fast path keys on object identity — a 100k-point sweep
-        reuses a handful of stencil/platform objects, and hashing the
-        frozen dataclasses themselves dominates batch time otherwise.
-        ``id()`` keys are safe here: ``simulate_batch`` holds the point
-        list (and so every stencil/platform) alive for the whole call.
+        Points are keyed on object identity — a 100k-point sweep reuses
+        a handful of stencil/platform objects, and hashing the frozen
+        dataclasses themselves dominates batch time otherwise.  ``id()``
+        keys are safe here: ``simulate_batch`` holds the point list (and
+        so every stencil/platform) alive for the whole call.  One dict
+        lookup per point; only a miss runs :meth:`_resolve`.
         """
-        fast_key = (
-            id(point.stencil),
-            id(point.platform),
-            point.variant,
-            point.dims.dims if point.dims is not None else None,
-            point.vector_length,
-        )
-        group = self._fast.get(fast_key)
-        if group is not None:
-            return group
-        group = self._resolve_slow(point)
-        self._fast[fast_key] = group
-        return group
+        keys = [
+            (
+                id(p.stencil),
+                id(p.platform),
+                p.variant,
+                None if p.dims is None else p.dims.dims,
+                p.vector_length,
+            )
+            for p in chunk
+        ]
+        fast = self._fast
+        gidx = [fast.get(key, -1) for key in keys]
+        errors: Dict[int, Exception] = {}
+        if -1 in gidx:
+            for i in [i for i, g in enumerate(gidx) if g < 0]:
+                key = keys[i]
+                try:
+                    if key not in fast:
+                        fast[key] = self._resolve(chunk[i]).index
+                    gidx[i] = fast[key]
+                except Exception as exc:
+                    errors[i] = exc
+        return gidx, errors
 
-    def _resolve_slow(self, point: BatchPoint) -> _Group:
+    def _resolve(self, point: BatchPoint) -> _Group:
         if point.variant not in VARIANTS:
             raise SimulationError(
                 f"unknown variant '{point.variant}'; known: {VARIANTS}"
@@ -276,23 +317,23 @@ class _GroupTable:
         )
 
 
-def _evaluate(gidx: np.ndarray, dom: np.ndarray, table: _GroupTable) -> List[list]:
+def _evaluate(
+    gidx: np.ndarray, dom: np.ndarray, table: _GroupTable
+) -> List[np.ndarray]:
     """Vectorised traffic + timing over the evaluable chunk points.
 
     ``gidx`` holds each point's group index and ``dom`` its ``(ni, nj,
-    nk)`` domain.  Returns one column per field, in the positional order
-    of ``Traffic``, then ``TimingBreakdown``, then ``ntiles`` and
-    ``flops``.  Every expression below replicates the association order
-    of ``traffic._estimate`` / ``timing.kernel_time`` exactly; see the
-    module docstring for why that makes the floats bit-identical.
+    nk)`` domain.  Returns one array per field, in the positional order
+    of ``Traffic``, then ``TimingBreakdown``, then ``ntiles`` (column
+    ``_NTILES``) and ``flops``.  Every expression below replicates the
+    association order of ``traffic._estimate`` / ``timing.kernel_time``
+    exactly; see the module docstring for why that makes the floats
+    bit-identical.
     """
     i64, f64 = np.int64, np.float64
-    all_groups = table.groups
 
     def take(field: str, dtype: type = i64) -> np.ndarray:
-        return np.array(
-            [getattr(g, field) for g in all_groups], dtype=dtype
-        )[gidx]
+        return table.column(field, dtype)[gidx]
 
     ni, nj, nk = dom[:, 0], dom[:, 1], dom[:, 2]
     n = ni * nj * nk
@@ -328,12 +369,11 @@ def _evaluate(gidx: np.ndarray, dom: np.ndarray, table: _GroupTable) -> List[lis
     ) / take("shuf_den", f64)
     t_issue = (ntiles * take("instr_pt")) / take("issue_den", f64)
 
-    columns = (
+    return [
         read, write, l1_bytes, load_sectors, store_sectors, extra,
         t_hbm, t_l1, t_fp, t_shuffle, t_issue,
         ntiles, n * take("flops_per_point"),
-    )
-    return [col.tolist() for col in columns]
+    ]
 
 
 def _failure(exc: Exception) -> TaskFailure:
@@ -346,108 +386,199 @@ def _failure(exc: Exception) -> TaskFailure:
     )
 
 
+def _make_result(
+    point: BatchPoint, group: _Group, row: Sequence[Any]
+) -> SimulationResult:
+    """One point's result from its evaluated column values (native types)."""
+    (
+        read, write, l1_bytes, load_sectors, store_sectors, extra,
+        t_hbm, t_l1, t_fp, t_shuffle, t_issue, _ntiles, flops,
+    ) = row
+    return SimulationResult(
+        group.platform,
+        point.variant,
+        point.stencil_name or point.stencil.description(),
+        point.domain,
+        flops,
+        Traffic(read, write, l1_bytes, load_sectors, store_sectors, extra),
+        TimingBreakdown(
+            t_hbm, t_l1, t_fp, t_shuffle, t_issue, group.launch, group.occ
+        ),
+        group.cost,
+        group.strategy,
+    )
+
+
+def _rows(n: int, evaluated: np.ndarray) -> np.ndarray:
+    """Each point's row in the evaluated columns; ``-1`` for the rest."""
+    rows = np.full(n, -1, dtype=np.int64)
+    rows[evaluated] = np.arange(evaluated.size, dtype=np.int64)
+    return rows
+
+
+class BatchResults(SequenceABC):
+    """The outcome of :func:`simulate_batch`, kept as columns.
+
+    A read-only sequence with one entry per input point, in input order:
+    a :class:`~repro.gpu.simulator.SimulationResult`, or the
+    :class:`~repro.resilience.TaskFailure` captured for that point.
+    Results are built only when read — ``results[i]``, a slice (a list)
+    or iteration — from the evaluated NumPy columns, so every built
+    object equals, field for field and type for type, what scalar
+    :func:`~repro.gpu.simulator.simulate` returns.  Building the same
+    entry twice gives two equal objects, not one shared object.  It
+    compares equal to any list, tuple or ``BatchResults`` holding equal
+    entries.
+    """
+
+    __slots__ = ("_points", "_groups", "_group", "_row", "_columns", "_failures")
+
+    def __init__(
+        self,
+        points: Sequence[BatchPoint],
+        groups: Sequence[_Group],
+        group: np.ndarray,
+        row: np.ndarray,
+        columns: Sequence[np.ndarray],
+        failures: Dict[int, TaskFailure],
+    ) -> None:
+        self._points = points
+        self._groups = groups
+        self._group = group
+        self._row = row
+        self._columns = columns
+        self._failures = failures
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return list(self._entries(np.arange(n)[index]))
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError(f"batch index {index} out of range for {n} points")
+        return next(self._entries(np.array([i % n])))
+
+    def __iter__(self) -> Iterator[Outcome]:
+        return self._entries(np.arange(len(self)))
+
+    def _entries(self, idx: np.ndarray) -> Iterator[Outcome]:
+        """Build the entries at positions ``idx``, in that order.
+
+        Each column is read for all of ``idx`` at once and handed back
+        as native Python numbers by ``tolist()``.
+        """
+        rows = self._row[idx]
+        live: Any = rows[rows >= 0]
+        # ``idx`` is monotonic (a slice, or one index) and rows grow with
+        # position, so rows spanning exactly ``live.size`` values form one
+        # block: read it as a view instead of gathering.
+        if live.size and live[-1] - live[0] == live.size - 1:
+            live = slice(live[0], live[-1] + 1)
+        values = zip(*(col[live].tolist() for col in self._columns))
+        points, groups, failures = self._points, self._groups, self._failures
+        for i, g, r in zip(idx.tolist(), self._group[idx].tolist(), rows.tolist()):
+            # A point failing its invariant check has a row but no result.
+            row = next(values) if r >= 0 else None
+            failure = failures.get(i)
+            yield (
+                failure if failure is not None
+                else _make_result(points[i], groups[g], row)
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (BatchResults, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+
 def _run_chunk(
     chunk: Sequence[BatchPoint],
     table: _GroupTable,
     validate: bool,
     capture: bool,
-) -> List[Any]:
-    """One chunk: resolve, check tiles, vectorise, assemble, validate, count."""
-    groups: List[Optional[_Group]] = []
-    errors: List[Optional[Exception]] = []
-    for point in chunk:
-        try:
-            groups.append(table.resolve(point))
-            errors.append(None)
-        except Exception as exc:
-            groups.append(None)
-            errors.append(exc)
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], Dict[int, Exception]]:
+    """One chunk: resolve, check tiles, evaluate, validate, count.
 
-    rows: Iterator[tuple] = iter(())
-    resolved = [i for i, g in enumerate(groups) if g is not None]
-    if resolved:
-        gidx = np.array([g.index for g in groups if g is not None], dtype=np.int64)
-        dom = np.array([chunk[i].domain for i in resolved], dtype=np.int64)
-        shapes = np.array([g.tile_shape for g in table.groups], dtype=np.int64)
-        bad = (dom % shapes[gidx, ::-1]).any(axis=1)
+    Returns each point's group index (``-1`` where resolution failed),
+    the chunk positions of the evaluated points, their columns, and the
+    errors by chunk position.  Without ``capture`` the earliest error
+    raises instead, after the counters of the points a scalar loop
+    would have completed before it.
+    """
+    gidx_list, errors = table.resolve_chunk(chunk)
+    gidx = np.array(gidx_list, dtype=np.int64)
+    evaluated = np.flatnonzero(gidx >= 0)
+    g = gidx[evaluated]
+    columns: List[np.ndarray] = []
+    if evaluated.size:
+        dom = np.array(
+            [chunk[i].domain for i in evaluated.tolist()]
+            if errors else [p.domain for p in chunk],
+            dtype=np.int64,
+        )
+        shapes = np.array([grp.tile_shape for grp in table.groups], dtype=np.int64)
+        bad = (dom % shapes[g, ::-1]).any(axis=1)
         if bad.any():
             for j in np.flatnonzero(bad).tolist():
-                i = resolved[j]
+                i = int(evaluated[j])
                 errors[i] = SimulationError(
                     f"domain {dims_to_shape(chunk[i].domain)} is not a "
-                    f"multiple of tile {table.groups[gidx[j]].tile_shape}"
+                    f"multiple of tile {table.groups[g[j]].tile_shape}"
                 )
-            gidx, dom = gidx[~bad], dom[~bad]
-        rows = zip(*_evaluate(gidx, dom, table))
+            keep = ~bad
+            evaluated, g, dom = evaluated[keep], g[keep], dom[keep]
+        columns = _evaluate(g, dom, table)
 
-    if validate:
+    violation_count = 0
+    if validate and evaluated.size:
         # Imported lazily: repro.validate reaches back into the harness
         # for its probes, so a module-level import cycles (same rule as
         # the scalar path).
         from repro.errors import ValidationError
         from repro.validate import check_result, render_violations
 
-    out: List[Any] = []
-    calls = tiles = vector_ops = violation_count = 0
+        # Raise semantics stop at the earliest failure found so far.
+        limit = len(chunk) if capture or not errors else min(errors)
+        values = zip(*(col.tolist() for col in columns))
+        for i, row in zip(evaluated.tolist(), values):
+            if i > limit:
+                break
+            point, group = chunk[i], table.groups[gidx_list[i]]
+            result = _make_result(point, group, row)
+            violations = check_result(result)
+            if violations:
+                violation_count += len(violations)
+                errors[i] = ValidationError(
+                    f"{len(violations)} invariant violation(s) for "
+                    f"{result.stencil_name}/{group.platform.name}/"
+                    f"{point.variant}:\n" + render_violations(violations)
+                )
+                if not capture:
+                    break
 
-    def flush() -> None:
-        if calls:
-            counter("simulate.calls").inc(calls)
-            counter("simulate.tiles").inc(tiles)
-            counter("codegen.vector_ops").inc(vector_ops)
-        if violation_count:
-            counter("simulate.invariant_violations").inc(violation_count)
-
-    for point, group, error in zip(chunk, groups, errors):
-        if error is None:
-            assert group is not None
-            (
-                read, write, l1_bytes, load_sectors, store_sectors, extra,
-                t_hbm, t_l1, t_fp, t_shuffle, t_issue, ntiles, flops,
-            ) = next(rows)
-            name = point.stencil_name or point.stencil.description()
-            result = SimulationResult(
-                group.platform,
-                point.variant,
-                name,
-                point.domain,
-                flops,
-                Traffic(
-                    read, write, l1_bytes, load_sectors, store_sectors, extra
-                ),
-                TimingBreakdown(
-                    t_hbm, t_l1, t_fp, t_shuffle, t_issue,
-                    group.launch, group.occ,
-                ),
-                group.cost,
-                group.strategy,
-            )
-            # The scalar path bumps these before its invariant check, so
-            # a violating point still counts a simulate() call.
-            calls += 1
-            tiles += ntiles
-            vector_ops += group.ops
-            if validate:
-                violations = check_result(result)
-                if violations:
-                    violation_count += len(violations)
-                    error = ValidationError(
-                        f"{len(violations)} invariant violation(s) for "
-                        f"{name}/{group.platform.name}/{point.variant}:\n"
-                        + render_violations(violations)
-                    )
-            if error is None:
-                out.append(result)
-                continue
-        if capture:
-            out.append(_failure(error))
-            continue
-        # Raise semantics: a scalar loop completes every point before
-        # the first failing one — their counters are already summed.
-        flush()
-        raise error
-    flush()
-    return out
+    # A scalar loop completes every point before the earliest failure;
+    # a point failing its invariant check still counts its simulate().
+    first = min(errors) if errors and not capture else None
+    counted = (
+        evaluated.size if first is None
+        else int(np.searchsorted(evaluated, first, side="right"))
+    )
+    if counted:
+        counter("simulate.calls").inc(counted)
+        counter("simulate.tiles").inc(int(columns[_NTILES][:counted].sum()))
+        counter("codegen.vector_ops").inc(
+            int(table.column("ops")[g[:counted]].sum())
+        )
+    if violation_count:
+        counter("simulate.invariant_violations").inc(violation_count)
+    if first is not None:
+        raise errors[first]
+    return gidx, evaluated, columns, errors
 
 
 def simulate_batch(
@@ -456,14 +587,16 @@ def simulate_batch(
     check_invariants: Optional[bool] = None,
     capture_failures: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-) -> List[Any]:
+    on_result: Optional[Callable[[int, Outcome], None]] = None,
+) -> BatchResults:
     """Simulate a matrix of points; bit-identical to a scalar loop.
 
-    Returns one entry per input point, in input order: a
+    Returns a :class:`BatchResults` sequence with one entry per input
+    point, in input order: a
     :class:`~repro.gpu.simulator.SimulationResult`, or (with
     ``capture_failures=True``) a :class:`~repro.resilience.TaskFailure`
     carrying the same error a resilient scalar run would record.
+    Entries are built from the evaluated columns only when read.
     Without ``capture_failures`` the earliest failing point's exception
     raises, exactly like a scalar loop at that point.
 
@@ -482,7 +615,11 @@ def simulate_batch(
     table = _GroupTable()
     chunk_size = max(1, chunk_size)
     nchunks = ceil_div(len(points), chunk_size) if points else 0
-    results: List[Any] = []
+    # Seeded with an empty part, so an empty batch concatenates too.
+    group_parts = [np.empty(0, dtype=np.int64)]
+    evaluated_parts = [np.empty(0, dtype=np.int64)]
+    column_parts: List[List[np.ndarray]] = []
+    failures: Dict[int, TaskFailure] = {}
     with span(
         "sweep.batch",
         points=len(points),
@@ -491,14 +628,34 @@ def simulate_batch(
         for start in range(0, len(points), chunk_size):
             chunk = points[start:start + chunk_size]
             with span("sweep.chunk", n=len(chunk), offset=start):
-                chunk_out = _run_chunk(chunk, table, validate, capture_failures)
-            for i, result in enumerate(chunk_out):
-                results.append(result)
-                if on_result is not None:
+                gidx, evaluated, columns, errors = _run_chunk(
+                    chunk, table, validate, capture_failures
+                )
+            captured = {i: _failure(exc) for i, exc in errors.items()}
+            group_parts.append(gidx)
+            evaluated_parts.append(evaluated + start)
+            if evaluated.size:
+                column_parts.append(columns)
+            failures.update((start + i, f) for i, f in captured.items())
+            view = BatchResults(
+                chunk, table.groups, gidx,
+                _rows(len(chunk), evaluated), columns, captured,
+            )
+            if on_result is not None:
+                for i, result in enumerate(view):
                     on_result(start + i, result)
         if sp is not None:
             sp.set_attr("groups", len(table))
         counter("sweep.batch.points").inc(len(points))
         counter("sweep.batch.chunks").inc(nchunks)
         gauge("sweep.batch.groups").set(len(table))
-    return results
+    if nchunks == 1:
+        return view  # small batches skip the concatenation below
+    return BatchResults(
+        points,
+        table.groups,
+        np.concatenate(group_parts),
+        _rows(len(points), np.concatenate(evaluated_parts)),
+        [np.concatenate(parts) for parts in zip(*column_parts)],
+        failures,
+    )

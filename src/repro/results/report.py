@@ -387,24 +387,21 @@ def _experiments_md_full(study: StudyResults) -> str:
     # ----- throughput envelope ------------------------------------------------
     w("## Simulation throughput envelope")
     w("")
-    w("Not a paper figure — the capacity of the reproduction machinery itself")
-    w("(numbers from `BENCH_sweep.json`, recorded on the 1-CPU CI container;")
-    w("`scripts/bench_smoke.py` regenerates and gates them):")
-    w("")
-    w("| engine | workload | throughput |")
-    w("| --- | --- | --- |")
-    w("| scalar `simulate()` loop | 90-point study | ~170 points/s |")
-    w("| scalar baseline probe (no validation) | sampled from 100k matrix | ~290 points/s |")
-    w("| `simulate_batch` (vectorized) | 103 680-point matrix, cold | ~46 000 points/s |")
+    w("Not a paper figure — the capacity of the reproduction machinery itself.")
+    w("Throughput depends on the machine, so this deterministic report")
+    w("carries no measured rate.  Measure it with")
+    w("`python3 perfbench/run.py --workload sweep_100k --seed 1`: one")
+    w("`simulate_batch` call over the 103 680-point matrix (6 stencils × 5")
+    w("platforms × 3 variants × 1152 domains) per op, reported as")
+    w("`throughput_per_s` together with the host it ran on and the spread")
+    w("of its runs.")
     w("")
     w("The vectorized engine is gated at >= 100× the scalar baseline")
-    w("(measured ~180×) and is bit-identical to it, so sweeps far beyond the")
-    w("paper's 90-point matrix — full domain-size scans, dense tuning grids —")
-    w("stay interactive: the 100k-point matrix above (6 stencils × 5")
-    w("platforms × 3 variants × 1152 domains) evaluates in ~2 s.  The")
-    w("per-point marginal cost is pure array math; only the ~90 distinct")
-    w("(stencil, tile, platform, variant) groups pay codegen and cost-model")
-    w("time.")
+    w("(`scripts/bench_smoke.py`) and is bit-identical to it, so sweeps far")
+    w("beyond the paper's 90-point matrix — full domain-size scans, dense")
+    w("tuning grids — stay interactive.  The per-point marginal cost is pure")
+    w("array math; only the ~90 distinct (stencil, tile, platform, variant)")
+    w("groups pay codegen and cost-model time.")
     w("")
 
     # ----- known deviations ---------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
 from repro.exec import RetryPolicy, TaskFailure
-from repro.gpu.batch import BatchPoint, simulate_batch
+from repro.gpu.batch import BatchPoint, BatchResults, simulate_batch
 from repro.gpu.progmodel import Platform
 from repro.gpu.simulator import SimulationResult
 from repro.obs import counter, span
@@ -59,6 +59,8 @@ class Autotuner:
     ) -> TuningOutcome:
         """Grid-search the space in one :func:`simulate_batch` call.
 
+        Every candidate is ranked, so the search reads (and builds)
+        every entry of the returned :class:`BatchResults` once.
         ``policy`` turns on resilient evaluation: candidates that fail
         are dropped from the ranking (counted as ``exec.failed_points``)
         instead of aborting the whole search — unless *every* candidate
@@ -88,7 +90,7 @@ class Autotuner:
                     platform.arch.simd_width, stencil.radius, domain
                 )
             )
-            results = simulate_batch(
+            results: BatchResults = simulate_batch(
                 [
                     BatchPoint(
                         stencil=stencil,
