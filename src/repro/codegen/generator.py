@@ -156,7 +156,8 @@ def generate(
             s = _Builder(stencil, dims, vl).scatter()
             g_key = (len(g.ops), g.max_live_registers(), 0)
             s_key = (len(s.ops), s.max_live_registers(), 1)
-            prog = g if g_key <= s_key else s
+            prog, chosen = (g, g_key) if g_key <= s_key else (s, s_key)
+            prog._peak = chosen[1]  # cost_of reuses this scan
         prog.validate()
         counter("codegen.programs").inc()
         if sp is not None:

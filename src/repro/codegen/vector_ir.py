@@ -37,7 +37,7 @@ loads may address ``k in [-r, bk + r)`` etc.; stores only interior rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dsl.coeffs import Coeff
 from repro.errors import CodegenError
@@ -116,6 +116,11 @@ class VectorProgram:
     vl: int
     strategy: str
     meta: Dict[str, object] = field(default_factory=dict)
+    #: The liveness peak ``generate``'s profitability rule measured when
+    #: it chose this program (``None`` for any other program).
+    _peak: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def nvec(self) -> int:
@@ -180,25 +185,14 @@ class VectorProgram:
         register pressure of the generated kernel.  A register dies after
         the op of its last use (an ``Init`` counts as a use of its
         accumulator), or after the op defining it if no later op uses it.
+
+        A program ``generate`` chose by comparing peaks returns the peak
+        measured then, so ``cost_of`` does not scan it again (generated
+        programs are never mutated); any other program is scanned.
         """
-        last_use: Dict[str, int] = {}
-        for idx, op in enumerate(self.ops):
-            for reg in _uses(op):
-                last_use[reg] = idx
-            if isinstance(op, Init):
-                last_use[op.dst] = idx
-        live: set = set()
-        deaths: Dict[int, List[str]] = {}
-        peak = 0
-        for idx, op in enumerate(self.ops):
-            d = _defines(op)
-            for reg in _uses(op) if d is None else (d, *_uses(op)):
-                if reg not in live:
-                    live.add(reg)
-                    deaths.setdefault(max(idx, last_use.get(reg, -1)), []).append(reg)
-            peak = max(peak, len(live))
-            live.difference_update(deaths.pop(idx, ()))
-        return peak
+        if self._peak is not None:
+            return self._peak
+        return _liveness_peak(self.ops)
 
     def pretty(self, limit: int | None = None) -> str:
         """Human-readable listing (used by tests and the emitters)."""
@@ -226,6 +220,28 @@ class VectorProgram:
         if limit is not None and len(self.ops) > limit:
             lines.append(f"  ... {len(self.ops) - limit} more ops")
         return "\n".join(lines)
+
+
+def _liveness_peak(ops: List[Op]) -> int:
+    """The linear liveness scan behind :meth:`VectorProgram.max_live_registers`."""
+    last_use: Dict[str, int] = {}
+    for idx, op in enumerate(ops):
+        for reg in _uses(op):
+            last_use[reg] = idx
+        if isinstance(op, Init):
+            last_use[op.dst] = idx
+    live: set = set()
+    deaths: Dict[int, List[str]] = {}
+    peak = 0
+    for idx, op in enumerate(ops):
+        d = _defines(op)
+        for reg in _uses(op) if d is None else (d, *_uses(op)):
+            if reg not in live:
+                live.add(reg)
+                deaths.setdefault(max(idx, last_use.get(reg, -1)), []).append(reg)
+        peak = max(peak, len(live))
+        live.difference_update(deaths.pop(idx, ()))
+    return peak
 
 
 def _uses(op: Op) -> Tuple[str, ...]:

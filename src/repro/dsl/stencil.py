@@ -9,6 +9,7 @@ generation, traffic models, Table 2/4 analysis — consume this form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
@@ -59,9 +60,13 @@ class Stencil:
         """Number of taps (the paper's 'Points' column of Table 2)."""
         return len(self.taps)
 
-    @property
+    @functools.cached_property
     def radius(self) -> int:
-        """Chebyshev radius: max absolute offset component over all taps."""
+        """Chebyshev radius: max absolute offset component over all taps.
+
+        Computed once per stencil (a stencil is immutable): codegen and
+        the simulators read it for every program they build or look up.
+        """
         return max(max(abs(c) for c in off) for off in self.taps)
 
     def offsets(self) -> Tuple[Offset, ...]:

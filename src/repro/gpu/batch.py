@@ -10,16 +10,25 @@ per group and per-point work runs as array ops:
    ``_Group``: its program, its cost, the normalised FLOPs per point
    and every per-group scalar of the formulas.  Each chunk builds one
    ``(id(stencil), id(platform), variant, dims, vector_length)`` key
-   per point and makes one dict lookup per key; only a miss pays the
-   full resolution (variant check, tile/VL defaults, codegen memo key).
+   per point (one list comprehension over the slotted
+   :class:`BatchPoint` objects) and looks every key up in one C-level
+   ``np.fromiter(map(dict.get, ...))`` loop; only a miss pays the full
+   resolution (variant check, tile/VL defaults, codegen memo key).
    Costs are memoised beside the codegen memo
    (``codegen.generator.COST_MEMO``, emptied by
    ``clear_codegen_memo()``), so ``cost_of`` runs once per program per
    process, not once per call.  The domain axis — the axis a 100k-point
    sweep actually multiplies — adds *no* groups;
-2. **tile check** — one ``int64`` domain array per chunk is checked
-   against every point's tile as a single ``%`` op; only the flagged
-   points build the scalar path's ``SimulationError``;
+2. **domain and tile checks** — one more pass reads the chunk's
+   ``domain`` tuples, and one C-level ``starmap`` of a ``struct`` packer
+   turns them into a single ``int64`` array, rejecting any extent that
+   is not an integer and any domain that is not three long; one array
+   test rejects extents below one.  A chunk failing either check is
+   rescanned point by point, so only its bad points fail (with the
+   :class:`~repro.errors.SimulationError` scalar ``simulate`` raises).
+   The array is then checked against every point's tile as a single
+   ``%`` op; only the flagged points build the scalar path's
+   ``SimulationError``;
 3. **vectorised evaluation** — the same domain array feeds the traffic
    and timing formulas of :mod:`repro.gpu.traffic` /
    :mod:`repro.gpu.timing`, run as NumPy ``int64``/``float64``
@@ -64,9 +73,10 @@ spans belong to the scalar path (a study's fault-injected points) — at
 100k points they *are* the overhead this module removes.
 
 Failure semantics mirror the resilient scalar engine: with
-``capture_failures=True`` a point whose resolution, tile or invariant check
-fails degrades into the same :class:`~repro.resilience.TaskFailure`
-record (same ``error_type``/``message``/``attempts``) that
+``capture_failures=True`` a point whose domain, resolution, tile or
+invariant check fails degrades into the same
+:class:`~repro.resilience.TaskFailure` record (same
+``error_type``/``message``/``attempts``) that
 ``parallel_map(..., capture_failures=True)`` would produce for it;
 without it, the error of the *earliest* failing point raises, after the
 counters of the points a scalar loop would have completed first.
@@ -75,8 +85,10 @@ counters of the points a scalar loop would have completed first.
 from __future__ import annotations
 
 import operator
+import struct
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from itertools import repeat, starmap
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -92,6 +104,7 @@ from repro.gpu.simulator import (
     VARIANT_CONFIG,
     SimulationResult,
     _validate_enabled,
+    check_domain,
     tile_for,
 )
 from repro.gpu.timing import (
@@ -119,13 +132,16 @@ DEFAULT_CHUNK = 16384
 _NTILES = 11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchPoint:
     """One matrix point for :func:`simulate_batch`.
 
     Mirrors the :func:`~repro.gpu.simulator.simulate` signature:
     ``dims``/``vector_length`` override the architecture's default
     tile/VL (the tuning use case), ``stencil_name`` the display name.
+    Slotted: a 100k-point matrix holds no per-point ``__dict__``, and
+    the engine's per-point attribute reads stay cheap.  Nothing is
+    checked here; a bad ``domain`` fails in :func:`simulate_batch`.
     """
 
     stencil: Stencil
@@ -152,6 +168,7 @@ class _Group:
     strategy: str
     ops: int  # len(program.ops), for the codegen.vector_ops counter
     tile_shape: Tuple[int, int, int]
+    tile_dims: Tuple[int, int, int]  # tile_shape in domain order (ni, nj, nk)
     tile_pts: int
     tile_k: int
     radius: int
@@ -182,18 +199,28 @@ class _GroupTable:
     def __init__(self) -> None:
         self._by_key: Dict[Tuple, _Group] = {}
         self._fast: Dict[Tuple, int] = {}
+        self._columns: Dict[Tuple[str, type], np.ndarray] = {}
         self.groups: List[_Group] = []
 
     def __len__(self) -> int:
         return len(self.groups)
 
     def column(self, field: str, dtype: type = np.int64) -> np.ndarray:
-        """One per-group field as an array indexed by group index."""
-        return np.array([getattr(g, field) for g in self.groups], dtype=dtype)
+        """One per-group field as an array indexed by group index.
+
+        Built once per field until the next new group, not once per
+        chunk and field.
+        """
+        col = self._columns.get((field, dtype))
+        if col is None:
+            col = self._columns[field, dtype] = np.array(
+                [getattr(g, field) for g in self.groups], dtype=dtype
+            )
+        return col
 
     def resolve_chunk(
         self, chunk: Sequence[BatchPoint]
-    ) -> Tuple[List[int], Dict[int, Exception]]:
+    ) -> Tuple[np.ndarray, Dict[int, Exception]]:
         """Each point's group index (``-1`` where resolution raised).
 
         Returns the indices and the errors by chunk position; an error
@@ -204,8 +231,9 @@ class _GroupTable:
         a handful of stencil/platform objects, and hashing the frozen
         dataclasses themselves dominates batch time otherwise.  ``id()``
         keys are safe here: ``simulate_batch`` holds the point list (and
-        so every stencil/platform) alive for the whole call.  One dict
-        lookup per point; only a miss runs :meth:`_resolve`.
+        so every stencil/platform) alive for the whole call.  The key
+        lookups run in one C-level ``np.fromiter`` loop; only a miss
+        runs :meth:`_resolve`.
         """
         keys = [
             (
@@ -218,17 +246,16 @@ class _GroupTable:
             for p in chunk
         ]
         fast = self._fast
-        gidx = [fast.get(key, -1) for key in keys]
+        gidx = np.fromiter(map(fast.get, keys, repeat(-1)), np.int64, len(keys))
         errors: Dict[int, Exception] = {}
-        if -1 in gidx:
-            for i in [i for i, g in enumerate(gidx) if g < 0]:
-                key = keys[i]
-                try:
-                    if key not in fast:
-                        fast[key] = self._resolve(chunk[i]).index
-                    gidx[i] = fast[key]
-                except Exception as exc:
-                    errors[i] = exc
+        for i in np.flatnonzero(gidx < 0).tolist():
+            key = keys[i]
+            try:
+                if key not in fast:
+                    fast[key] = self._resolve(chunk[i]).index
+                gidx[i] = fast[key]
+            except Exception as exc:
+                errors[i] = exc
         return gidx, errors
 
     def _resolve(self, point: BatchPoint) -> _Group:
@@ -256,6 +283,7 @@ class _GroupTable:
             )
             self._by_key[key] = group
             self.groups.append(group)
+            self._columns.clear()
         return group
 
     def _build(
@@ -288,6 +316,7 @@ class _GroupTable:
             strategy=program.strategy,
             ops=len(program.ops),
             tile_shape=tile_shape,
+            tile_dims=dims.dims,
             tile_pts=prod(tile_shape),
             tile_k=tile_shape[0],
             radius=r,
@@ -496,34 +525,77 @@ class BatchResults(SequenceABC):
         )
 
 
+def _point_name(point: BatchPoint) -> str:
+    """How a failure message names ``point``, as scalar ``simulate`` does."""
+    name = point.stencil_name or point.stencil.description()
+    return f"{name}/{point.platform.name}/{point.variant}"
+
+
+#: One domain as three native ``int64`` extents.  Packing takes
+#: integers only (``operator.index``): a ``str`` or ``float`` extent, or
+#: a domain that is not three long, raises ``struct.error``.
+_DOMAIN = struct.Struct("3q")
+
+
+def _domains(
+    chunk: Sequence[BatchPoint], errors: Dict[int, Exception]
+) -> np.ndarray:
+    """Every point's domain as one ``(n, 3)`` ``int64`` array.
+
+    One pass reads the domains and one C-level ``starmap`` packs them
+    into a buffer, which rejects non-integer extents and wrong lengths;
+    an array check rejects extents below one.  Only a chunk that fails
+    is scanned point by point, so its other points still evaluate: a bad
+    point gets :func:`~repro.gpu.simulator.check_domain`'s error in
+    ``errors`` (replacing any resolution error, as scalar ``simulate``
+    checks the domain first) and a placeholder row.
+    """
+    doms = [p.domain for p in chunk]
+    try:
+        dom = np.frombuffer(
+            b"".join(starmap(_DOMAIN.pack, doms)), np.int64
+        ).reshape(len(doms), 3)
+        if (dom > 0).all():
+            return dom
+    except (struct.error, TypeError):
+        pass
+    dom = np.ones((len(doms), 3), dtype=np.int64)
+    for i, point in enumerate(chunk):
+        try:
+            dom[i] = check_domain(point.domain, _point_name(point))
+        except SimulationError as exc:
+            errors[i] = exc
+    return dom
+
+
 def _run_chunk(
     chunk: Sequence[BatchPoint],
     table: _GroupTable,
     validate: bool,
     capture: bool,
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], Dict[int, Exception]]:
-    """One chunk: resolve, check tiles, evaluate, validate, count.
+    """One chunk: resolve, check domains and tiles, evaluate, validate, count.
 
-    Returns each point's group index (``-1`` where resolution failed),
-    the chunk positions of the evaluated points, their columns, and the
-    errors by chunk position.  Without ``capture`` the earliest error
-    raises instead, after the counters of the points a scalar loop
-    would have completed before it.
+    Returns each point's group index (``-1`` where the point failed
+    before its tile check), the chunk positions of the evaluated
+    points, their columns, and the errors by chunk position.  Without
+    ``capture`` the earliest error raises instead, after the counters
+    of the points a scalar loop would have completed before it.
     """
-    gidx_list, errors = table.resolve_chunk(chunk)
-    gidx = np.array(gidx_list, dtype=np.int64)
-    evaluated = np.flatnonzero(gidx >= 0)
-    g = gidx[evaluated]
+    gidx, errors = table.resolve_chunk(chunk)
+    dom = _domains(chunk, errors)
+    if errors:
+        gidx[list(errors)] = -1
+        evaluated = np.flatnonzero(gidx >= 0)
+        g, dom = gidx[evaluated], dom[evaluated]
+    else:
+        evaluated = np.arange(len(chunk), dtype=np.int64)
+        g = gidx
     columns: List[np.ndarray] = []
     if evaluated.size:
-        dom = np.array(
-            [chunk[i].domain for i in evaluated.tolist()]
-            if errors else [p.domain for p in chunk],
-            dtype=np.int64,
-        )
-        shapes = np.array([grp.tile_shape for grp in table.groups], dtype=np.int64)
-        bad = (dom % shapes[g, ::-1]).any(axis=1)
-        if bad.any():
+        rem = dom % table.column("tile_dims")[g]
+        if rem.any():
+            bad = rem.any(axis=1)
             for j in np.flatnonzero(bad).tolist():
                 i = int(evaluated[j])
                 errors[i] = SimulationError(
@@ -548,7 +620,7 @@ def _run_chunk(
         for i, row in zip(evaluated.tolist(), values):
             if i > limit:
                 break
-            point, group = chunk[i], table.groups[gidx_list[i]]
+            point, group = chunk[i], table.groups[gidx[i]]
             result = _make_result(point, group, row)
             violations = check_result(result)
             if violations:

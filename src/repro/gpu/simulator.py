@@ -16,9 +16,10 @@ FLOPs, HBM and L1 bytes, runtime, and the diagnostic breakdowns.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.bricks.layout import BrickDims
 from repro.codegen.cost import ProgramCost, cost_of
@@ -101,6 +102,26 @@ def tile_for(platform: Platform) -> BrickDims:
     return BrickDims((platform.arch.simd_width, 4, 4))
 
 
+def check_domain(domain: Sequence[int], point: str) -> Tuple[int, int, int]:
+    """``domain`` as three positive ``int`` extents, or a typed error.
+
+    Anything else — a wrong length, a non-integer extent (``'64'``,
+    ``64.0``) or one below 1 — raises :class:`SimulationError` naming
+    ``point`` and the domain.  The batch engine reports bad domains with
+    the same error.
+    """
+    try:
+        ni, nj, nk = map(operator.index, domain)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if ni > 0 and nj > 0 and nk > 0:
+            return ni, nj, nk
+    raise SimulationError(
+        f"{point}: domain {domain!r} must be three positive integers"
+    )
+
+
 def simulate(
     stencil: Stencil,
     variant: str,
@@ -113,9 +134,11 @@ def simulate(
 ) -> SimulationResult:
     """Simulate one kernel sweep and return its profile.
 
-    ``domain`` is in dimension order ``(ni, nj, nk)`` and must be a
-    multiple of the tile shape.  ``dims`` / ``vector_length`` override
-    the architecture defaults (used by the brick-size ablation).
+    ``domain`` is in dimension order ``(ni, nj, nk)``: three positive
+    integers (else :func:`check_domain` raises, before anything else is
+    checked) that are a multiple of the tile shape.  ``dims`` /
+    ``vector_length`` override the architecture defaults (used by the
+    brick-size ablation).
 
     ``check_invariants`` opts into asserting every physical-sanity
     invariant of :mod:`repro.validate` against the result before it is
@@ -124,10 +147,11 @@ def simulate(
     ``REPRO_VALIDATE`` environment variable, which the chaos and bench
     gates export.
     """
+    name = stencil_name or stencil.description()
+    check_domain(domain, f"{name}/{platform.name}/{variant}")
     if variant not in VARIANTS:
         raise SimulationError(f"unknown variant '{variant}'; known: {VARIANTS}")
     layout, strategy = VARIANT_CONFIG[variant]
-    name = stencil_name or stencil.description()
     with span(
         "simulate",
         stencil=name,

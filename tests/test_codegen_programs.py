@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bricks import BrickDims
-from repro.codegen import CodegenOptions, cost_of, generate
+from repro.codegen import CodegenOptions, clear_codegen_memo, cost_of, generate
+from repro.codegen import vector_ir
 from repro.codegen.vector_ir import (
     Add,
     Init,
@@ -233,3 +234,21 @@ class TestLiveness:
         ]
         prog = VectorProgram(ops, (1, 1, 4), 0, 2, "gather")
         assert prog.max_live_registers() == quadratic_max_live(prog) == 3
+
+    def test_cost_of_reuses_the_scan_generate_chose_by(self, monkeypatch):
+        # The auto rule scans both candidates; cost_of must not scan the
+        # chosen one again (a cold sweep would pay for it once more).
+        scanned = []
+        scan = vector_ir._liveness_peak
+        monkeypatch.setattr(
+            vector_ir, "_liveness_peak",
+            lambda ops: scanned.append(id(ops)) or scan(ops),
+        )
+        clear_codegen_memo()
+        stencil = by_name("13pt").build()
+        prog = gen(stencil, "auto")
+        assert len(scanned) == 2 and id(prog.ops) in scanned
+        cost = cost_of(prog)
+        assert gen(stencil, "auto") is prog  # memoised, not regenerated
+        assert len(scanned) == 2
+        assert cost.registers == quadratic_max_live(prog)

@@ -22,13 +22,13 @@ from repro.serve import JobJournal, ServeClient
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: 15 matrix points (3 stencils x 1 variant x 5 platforms): enough that
-#: a SIGKILL lands mid-sweep once the first checkpoint flush is visible.
-RECOVERY_DOC = {
-    "stencils": ["7pt", "13pt", "27pt"],
-    "variants": ["array"],
-    "domain": [64, 64, 64],
-}
+#: The full 90-point matrix (6 stencils x 3 variants x 5 platforms) at a
+#: small domain.  With ``--checkpoint-every 1`` the batch evaluates all
+#: points first and then flushes them one commit at a time, so the sweep
+#: stays open for 89 commits after the first flush becomes visible: the
+#: SIGKILL window is set by the store's commit time, not by how fast the
+#: engine evaluates (a 15-point matrix left it only 14 commits).
+RECOVERY_DOC = {"domain": [64, 64, 64]}
 
 #: 1-point blocker for the drain drill; ``sleep_s`` keeps it running
 #: (and non-clean, so it never dedups) while more work queues behind it.
