@@ -31,7 +31,7 @@ from repro.comm.network import Interconnect, interconnect_for
 from repro.dsl.stencil import Stencil
 from repro.errors import LayoutError
 from repro.gpu.progmodel import Platform
-from repro.gpu.simulator import simulate
+from repro.gpu.simulator import simulate, tile_and_vl
 from repro.kernels.array_kernels import run_array_kernel
 
 
@@ -72,11 +72,7 @@ class DistributedStencil:
                 raise LayoutError(
                     f"local extent {e} is not a multiple of tile extent {d}"
                 )
-        vl = (
-            platform.arch.simd_width
-            if self.dims.dims[0] % platform.arch.simd_width == 0
-            else self.dims.dims[0]
-        )
+        _, vl = tile_and_vl(platform, self.dims, None)
         self.program = generate(stencil, self.dims, CodegenOptions(vl, "auto"))
         self.interconnect = interconnect or interconnect_for(platform.arch.name)
         self.fields: List[np.ndarray] = []

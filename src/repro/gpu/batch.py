@@ -7,10 +7,10 @@ per group and per-point work runs as array ops:
 
 1. **keyed group resolution** — points sharing a (stencil signature,
    tile, vector length, strategy, platform, variant) share one
-   ``_Group``: its program, its cost, the normalised FLOPs per point
-   and every per-group scalar of the formulas.  Each chunk builds one
-   ``(id(stencil), id(platform), variant, dims, vector_length)`` key
-   per point (one list comprehension over the slotted
+   ``_Group``: its program, its cost, the normalised FLOPs per tile
+   and the traffic and timing models' per-group records.  Each chunk
+   builds one ``(id(stencil), id(platform), variant, dims,
+   vector_length)`` key per point (one list comprehension over the slotted
    :class:`BatchPoint` objects) and looks every key up in one C-level
    ``np.fromiter(map(dict.get, ...))`` loop; only a miss pays the full
    resolution (variant check, tile/VL defaults, codegen memo key).
@@ -23,22 +23,21 @@ per group and per-point work runs as array ops:
    ``domain`` tuples, and one C-level ``starmap`` of a ``struct`` packer
    turns them into a single ``int64`` array, rejecting any extent that
    is not an integer and any domain that is not three long; one array
-   test rejects extents below one.  A chunk failing either check is
-   rescanned point by point, so only its bad points fail (with the
+   test rejects extents below one and one more domains past
+   :data:`~repro.gpu.simulator.MAX_DOMAIN_POINTS`.  A chunk failing a
+   check is rescanned point by point, so only its bad points fail (with the
    :class:`~repro.errors.SimulationError` scalar ``simulate`` raises).
    The array is then checked against every point's tile as a single
    ``%`` op; only the flagged points build the scalar path's
    ``SimulationError``;
-3. **vectorised evaluation** — the same domain array feeds the traffic
-   and timing formulas of :mod:`repro.gpu.traffic` /
-   :mod:`repro.gpu.timing`, run as NumPy ``int64``/``float64``
-   struct-of-arrays ops that replicate the scalar evaluation order
-   *operation for operation*.  Integer quantities stay ``int64``
-   (exact), float expressions use the same association order as the
-   scalar source, and every per-group scalar with more than one factor
-   (bandwidth denominators, occupancy's ``** 0.5``) is computed once per
-   group in plain Python — so every result float is bit-identical to
-   the scalar path;
+3. **vectorised evaluation** — the same domain array, with each
+   group's records gathered per point, goes to the array formulas of
+   :mod:`repro.gpu.traffic` (:func:`~repro.gpu.traffic.traffic_columns`)
+   and :mod:`repro.gpu.timing`
+   (:func:`~repro.gpu.timing.timing_columns`).  These are the formulas
+   scalar ``simulate`` evaluates for its one row, looked up through
+   their modules at call time, so the engines cannot drift and a
+   patched model reaches both;
 4. **columnar results** — the call returns a :class:`BatchResults`
    sequence holding the 13 evaluated columns as NumPy arrays plus each
    point's row, group and failure record.  A
@@ -57,18 +56,21 @@ path.
 
 This is the one engine every analytic sweep runs on: the study
 (:func:`repro.harness.run_study`), the serving layer's micro-batches and
-the autotuner.  The scalar path stays the bit-checked oracle: the
-equivalence suite (``tests/test_batch_equivalence.py``) asserts
-field-by-field equality against a scalar loop, and the bench gate
-re-checks the full 90-point study against the oracle on every run.
+the autotuner.  The equivalence suite
+(``tests/test_batch_equivalence.py``) checks the batch's driver —
+grouping, chunking, failure capture, result assembly — field by field
+against a scalar loop; the model itself is checked against golden
+outputs, hand-derived closed forms (``tests/test_model_once.py``) and
+the LRU-replay invariant of :mod:`repro.validate`.
 
 Observability: one ``sweep.batch`` span (with ``points``/``groups``/
 ``chunks`` attrs) wraps the evaluation, one ``sweep.chunk`` span per
 chunk, and the per-point counters (``simulate.calls``,
-``simulate.tiles``, ``codegen.vector_ops``, and
-``simulate.invariant_violations`` under ``REPRO_VALIDATE``) are bumped
-once per chunk, by array sums equal to the amounts a scalar loop over
-the same points would bump them.  Per-point ``study.point``/``simulate``
+``simulate.tiles``, ``codegen.vector_ops``) are bumped once per chunk,
+by array sums equal to the amounts a scalar loop over the same points
+would bump them; ``simulate.invariant_violations`` (under
+``REPRO_VALIDATE``) is bumped per failing point, by the check both
+engines share.  Per-point ``study.point``/``simulate``
 spans belong to the scalar path (a study's fault-injected points) — at
 100k points they *are* the overhead this module removes.
 
@@ -96,27 +98,26 @@ import numpy as np
 from repro.bricks.layout import BrickDims
 from repro.codegen.cost import ProgramCost, cost_of
 from repro.codegen.generator import COST_MEMO, CodegenOptions, generate, memo_key
-from repro.dsl.analysis import FP64_BYTES
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
-from repro.gpu.progmodel import VARIANTS, Platform
+from repro.gpu import timing, traffic
+from repro.gpu.progmodel import Platform
 from repro.gpu.simulator import (
-    VARIANT_CONFIG,
+    MAX_DOMAIN_POINTS,
     SimulationResult,
     _validate_enabled,
     check_domain,
-    tile_for,
+    invariant_error,
+    point_label,
+    tile_and_vl,
+    tile_error,
+    variant_config,
 )
-from repro.gpu.timing import (
-    TILE_OVERHEAD_INSTRS,
-    TimingBreakdown,
-    occupancy_factor,
-    shuffle_cycles_for,
-)
-from repro.gpu.traffic import Traffic, sector_footprint
+from repro.gpu.timing import TimingBreakdown, TimingGroup
+from repro.gpu.traffic import Traffic, TrafficGroup
 from repro.obs import counter, gauge, span
 from repro.resilience.policy import TaskFailure
-from repro.util import ceil_div, dims_to_shape, prod
+from repro.util import ceil_div, prod
 
 __all__ = ["DEFAULT_CHUNK", "BatchPoint", "BatchResults", "simulate_batch"]
 
@@ -157,9 +158,9 @@ class BatchPoint:
 class _Group:
     """Everything constant across one (codegen x platform x variant) group.
 
-    Per-group scalars are computed in plain Python with exactly the
-    factor grouping of the scalar formulas, so the vectorised pass only
-    ever multiplies/divides a per-point array by one finished scalar.
+    ``traffic`` and ``timing`` are the model's own per-group records,
+    built by :func:`repro.gpu.traffic.traffic_group` and
+    :func:`repro.gpu.timing.timing_group`.
     """
 
     index: int
@@ -169,28 +170,9 @@ class _Group:
     ops: int  # len(program.ops), for the codegen.vector_ops counter
     tile_shape: Tuple[int, int, int]
     tile_dims: Tuple[int, int, int]  # tile_shape in domain order (ni, nj, nk)
-    tile_pts: int
-    tile_k: int
-    radius: int
-    flops_per_point: int  # normalised, as total_flops counts them
-    shared_planes: int
-    llc_eff: float
-    read_amp: float
-    write_amp: float
-    sec_load: int
-    sec_store: int
-    sector: int
-    hbm_bw: float
-    l1_den: float
-    flops_pt: int
-    fp_den: float
-    shuffles: int
-    shuf_cyc: float
-    shuf_den: float
-    instr_pt: int
-    issue_den: float
-    occ: float
-    launch: float
+    flops_per_tile: int  # normalised, as total_flops counts them
+    traffic: TrafficGroup
+    timing: TimingGroup
 
 
 class _GroupTable:
@@ -199,24 +181,38 @@ class _GroupTable:
     def __init__(self) -> None:
         self._by_key: Dict[Tuple, _Group] = {}
         self._fast: Dict[Tuple, int] = {}
-        self._columns: Dict[Tuple[str, type], np.ndarray] = {}
+        self._columns: Dict[Any, Any] = {}
         self.groups: List[_Group] = []
 
     def __len__(self) -> int:
         return len(self.groups)
 
-    def column(self, field: str, dtype: type = np.int64) -> np.ndarray:
+    def column(self, field: str) -> np.ndarray:
         """One per-group field as an array indexed by group index.
 
         Built once per field until the next new group, not once per
         chunk and field.
         """
-        col = self._columns.get((field, dtype))
+        col = self._columns.get(field)
         if col is None:
-            col = self._columns[field, dtype] = np.array(
-                [getattr(g, field) for g in self.groups], dtype=dtype
+            col = self._columns[field] = np.array(
+                [getattr(g, field) for g in self.groups]
             )
         return col
+
+    def gather(self, record: str, gidx: np.ndarray) -> Any:
+        """The ``traffic`` or ``timing`` record of each point in ``gidx``.
+
+        One record of arrays indexed by point, which the model's array
+        formulas take in place of one group's scalars.
+        """
+        columns = self._columns.get(record)
+        if columns is None:
+            rows = [getattr(g, record) for g in self.groups]
+            columns = self._columns[record] = type(rows[0])._make(
+                map(np.array, zip(*rows))
+            )
+        return columns._make(col[gidx] for col in columns)
 
     def resolve_chunk(
         self, chunk: Sequence[BatchPoint]
@@ -259,150 +255,55 @@ class _GroupTable:
         return gidx, errors
 
     def _resolve(self, point: BatchPoint) -> _Group:
-        if point.variant not in VARIANTS:
-            raise SimulationError(
-                f"unknown variant '{point.variant}'; known: {VARIANTS}"
-            )
-        layout, strategy = VARIANT_CONFIG[point.variant]
-        platform = point.platform
-        dims = point.dims or tile_for(platform)
-        simd = platform.arch.simd_width
-        # Custom tiles narrower than the SIMD width fall back to one
-        # vector per row (same rule as the scalar path).
-        vl = point.vector_length or (
-            simd if dims.dims[0] % simd == 0 else dims.dims[0]
-        )
+        layout, strategy = variant_config(point.variant)
+        stencil, platform = point.stencil, point.platform
+        dims, vl = tile_and_vl(platform, point.dims, point.vector_length)
         options = CodegenOptions(vl, strategy)
-        program_key = memo_key(point.stencil, dims, options)
+        program_key = memo_key(stencil, dims, options)
         key = (program_key, id(platform), point.variant)
         group = self._by_key.get(key)
         if group is None:
-            group = self._build(
-                point.stencil, layout, program_key, dims, options, platform,
-                point.variant,
+            program = generate(stencil, dims, options)
+            cost = COST_MEMO.get(program_key)
+            if cost is None:
+                cost = COST_MEMO[program_key] = cost_of(program)
+            arch, profile = platform.arch, platform.profile
+            vp = profile.variant(point.variant)
+            group = self._by_key[key] = _Group(
+                index=len(self.groups),
+                platform=platform,
+                cost=cost,
+                strategy=program.strategy,
+                ops=len(program.ops),
+                tile_shape=dims.shape,
+                tile_dims=dims.dims,
+                flops_per_tile=prod(dims.shape) * stencil.flops_per_point(minimal=True),
+                traffic=traffic.traffic_group(
+                    stencil.radius, layout, cost, arch, profile, vp, dims.shape
+                ),
+                timing=timing.timing_group(arch, profile, vp, cost),
             )
-            self._by_key[key] = group
             self.groups.append(group)
             self._columns.clear()
         return group
-
-    def _build(
-        self,
-        stencil: Stencil,
-        layout: str,
-        program_key: Tuple,
-        dims: BrickDims,
-        options: CodegenOptions,
-        platform: Platform,
-        variant: str,
-    ) -> _Group:
-        program = generate(stencil, dims, options)
-        cost = COST_MEMO.get(program_key)
-        if cost is None:
-            cost = COST_MEMO[program_key] = cost_of(program)
-        arch, profile = platform.arch, platform.profile
-        vp = profile.variant(variant)
-        r = stencil.radius
-        tile_shape = dims.shape
-        occ = occupancy_factor(cost.registers, profile.reg_budget)
-        pa, pu, ph, ps = sector_footprint(vp, r, cost.vl, arch.sector_bytes)
-        mem_instr = cost.loads_total + cost.stores
-        if vp.scalarized:
-            mem_instr *= cost.vl * vp.scalarized_slots
-        return _Group(
-            index=len(self.groups),
-            platform=platform,
-            cost=cost,
-            strategy=program.strategy,
-            ops=len(program.ops),
-            tile_shape=tile_shape,
-            tile_dims=dims.dims,
-            tile_pts=prod(tile_shape),
-            tile_k=tile_shape[0],
-            radius=r,
-            flops_per_point=stencil.flops_per_point(minimal=True),
-            shared_planes=2 * r if layout == "array" else r,
-            llc_eff=arch.llc_bytes * profile.llc_utilization,
-            read_amp=vp.read_amp,
-            write_amp=vp.write_amp,
-            sec_load=(
-                cost.loads_aligned * pa
-                + cost.loads_unaligned * pu
-                + cost.loads_halo * ph
-            ),
-            sec_store=cost.stores * ps,
-            sector=arch.sector_bytes,
-            hbm_bw=arch.hbm_bw * profile.mixbench_bw_frac * vp.bw_frac * occ,
-            l1_den=arch.l1_bw * vp.l1_frac * occ,
-            flops_pt=cost.flops,
-            fp_den=arch.peak_fp64 * profile.mixbench_fp_frac * vp.fp_eff,
-            shuffles=cost.shuffles,
-            shuf_cyc=shuffle_cycles_for(arch.vendor),
-            shuf_den=arch.num_cus * arch.clock_ghz * 1e9,
-            instr_pt=mem_instr + TILE_OVERHEAD_INSTRS,
-            issue_den=arch.issue_rate * vp.issue_eff * occ,
-            occ=occ,
-            launch=profile.launch_overhead_s,
-        )
 
 
 def _evaluate(
     gidx: np.ndarray, dom: np.ndarray, table: _GroupTable
 ) -> List[np.ndarray]:
-    """Vectorised traffic + timing over the evaluable chunk points.
+    """The model's array formulas over the evaluable chunk points.
 
     ``gidx`` holds each point's group index and ``dom`` its ``(ni, nj,
     nk)`` domain.  Returns one array per field, in the positional order
     of ``Traffic``, then ``TimingBreakdown``, then ``ntiles`` (column
-    ``_NTILES``) and ``flops``.  Every expression below replicates the
-    association order of ``traffic._estimate`` / ``timing.kernel_time``
-    exactly; see the module docstring for why that makes the floats
-    bit-identical.
+    ``_NTILES``) and ``flops``.
     """
-    i64, f64 = np.int64, np.float64
-
-    def take(field: str, dtype: type = i64) -> np.ndarray:
-        return table.column(field, dtype)[gidx]
-
-    ni, nj, nk = dom[:, 0], dom[:, 1], dom[:, 2]
-    n = ni * nj * nk
-    r = take("radius")
-    ntiles = n // take("tile_pts")
-
-    # ---- HBM (traffic._estimate order) --------------------------------
-    write = (n * FP64_BYTES) * take("write_amp", f64)
-    compulsory = (ni + 2 * r) * (nj + 2 * r) * (nk + 2 * r) * FP64_BYTES
-    shared = take("shared_planes")
-    working_set = ni * nj * shared * FP64_BYTES
-    llc = take("llc_eff", f64)
-    miss_fraction = (working_set - llc) / working_set
-    extra = np.where(
-        working_set <= llc,
-        0.0,
-        miss_fraction * (shared / take("tile_k")) * n * FP64_BYTES,
+    *moved, ntiles = traffic.traffic_columns(table.gather("traffic", gidx), dom)
+    times = timing.timing_columns(
+        table.gather("timing", gidx), moved[0], moved[1], moved[2], ntiles
     )
-    read = (compulsory + extra) * take("read_amp", f64)
-
-    # ---- L1 ------------------------------------------------------------
-    load_sectors = ntiles * take("sec_load")
-    store_sectors = ntiles * take("sec_store")
-    l1_bytes = (load_sectors + store_sectors) * take("sector")
-
-    # ---- timing (timing.kernel_time order) -----------------------------
-    hbm_total = read + write
-    t_hbm = hbm_total / take("hbm_bw", f64)
-    t_l1 = l1_bytes / take("l1_den", f64)
-    t_fp = (take("flops_pt") * ntiles) / take("fp_den", f64)
-    t_shuffle = (
-        take("shuffles") * ntiles * take("shuf_cyc", f64)
-    ) / take("shuf_den", f64)
-    t_issue = (ntiles * take("instr_pt")) / take("issue_den", f64)
-
-    return [
-        read, write, l1_bytes, load_sectors, store_sectors, extra,
-        t_hbm, t_l1, t_fp, t_shuffle, t_issue,
-        ntiles, n * take("flops_per_point"),
-    ]
+    flops = ntiles * table.column("flops_per_tile")[gidx]
+    return [*moved, *times, ntiles, flops]
 
 
 def _failure(exc: Exception) -> TaskFailure:
@@ -431,7 +332,8 @@ def _make_result(
         flops,
         Traffic(read, write, l1_bytes, load_sectors, store_sectors, extra),
         TimingBreakdown(
-            t_hbm, t_l1, t_fp, t_shuffle, t_issue, group.launch, group.occ
+            t_hbm, t_l1, t_fp, t_shuffle, t_issue,
+            group.timing.launch, group.timing.occupancy,
         ),
         group.cost,
         group.strategy,
@@ -528,12 +430,13 @@ class BatchResults(SequenceABC):
 def _point_name(point: BatchPoint) -> str:
     """How a failure message names ``point``, as scalar ``simulate`` does."""
     name = point.stencil_name or point.stencil.description()
-    return f"{name}/{point.platform.name}/{point.variant}"
+    return point_label(name, point.platform, point.variant)
 
 
 #: One domain as three native ``int64`` extents.  Packing takes
-#: integers only (``operator.index``): a ``str`` or ``float`` extent, or
-#: a domain that is not three long, raises ``struct.error``.
+#: integers only (``operator.index``): a ``str`` or ``float`` extent, one
+#: past ``int64``, or a domain that is not three long raises
+#: ``struct.error``.
 _DOMAIN = struct.Struct("3q")
 
 
@@ -544,7 +447,10 @@ def _domains(
 
     One pass reads the domains and one C-level ``starmap`` packs them
     into a buffer, which rejects non-integer extents and wrong lengths;
-    an array check rejects extents below one.  Only a chunk that fails
+    array checks reject extents below one and domains past
+    :data:`~repro.gpu.simulator.MAX_DOMAIN_POINTS` (a ``float64``
+    product: rounding is monotonic and the bound is a power of two, so
+    it compares exactly).  Only a chunk that fails
     is scanned point by point, so its other points still evaluate: a bad
     point gets :func:`~repro.gpu.simulator.check_domain`'s error in
     ``errors`` (replacing any resolution error, as scalar ``simulate``
@@ -555,7 +461,8 @@ def _domains(
         dom = np.frombuffer(
             b"".join(starmap(_DOMAIN.pack, doms)), np.int64
         ).reshape(len(doms), 3)
-        if (dom > 0).all():
+        f = dom.astype(np.float64)
+        if (dom > 0).all() and (f[:, 0] * f[:, 1] * f[:, 2] <= MAX_DOMAIN_POINTS).all():
             return dom
     except (struct.error, TypeError):
         pass
@@ -598,38 +505,27 @@ def _run_chunk(
             bad = rem.any(axis=1)
             for j in np.flatnonzero(bad).tolist():
                 i = int(evaluated[j])
-                errors[i] = SimulationError(
-                    f"domain {dims_to_shape(chunk[i].domain)} is not a "
-                    f"multiple of tile {table.groups[g[j]].tile_shape}"
+                errors[i] = tile_error(
+                    chunk[i].domain, table.groups[g[j]].tile_shape
                 )
             keep = ~bad
             evaluated, g, dom = evaluated[keep], g[keep], dom[keep]
         columns = _evaluate(g, dom, table)
 
-    violation_count = 0
     if validate and evaluated.size:
-        # Imported lazily: repro.validate reaches back into the harness
-        # for its probes, so a module-level import cycles (same rule as
-        # the scalar path).
-        from repro.errors import ValidationError
-        from repro.validate import check_result, render_violations
-
         # Raise semantics stop at the earliest failure found so far.
         limit = len(chunk) if capture or not errors else min(errors)
         values = zip(*(col.tolist() for col in columns))
         for i, row in zip(evaluated.tolist(), values):
             if i > limit:
                 break
-            point, group = chunk[i], table.groups[gidx[i]]
-            result = _make_result(point, group, row)
-            violations = check_result(result)
-            if violations:
-                violation_count += len(violations)
-                errors[i] = ValidationError(
-                    f"{len(violations)} invariant violation(s) for "
-                    f"{result.stencil_name}/{group.platform.name}/"
-                    f"{point.variant}:\n" + render_violations(violations)
-                )
+            point = chunk[i]
+            error = invariant_error(
+                _make_result(point, table.groups[gidx[i]], row),
+                _point_name(point),
+            )
+            if error is not None:
+                errors[i] = error
                 if not capture:
                     break
 
@@ -646,8 +542,6 @@ def _run_chunk(
         counter("codegen.vector_ops").inc(
             int(table.column("ops")[g[:counted]].sum())
         )
-    if violation_count:
-        counter("simulate.invariant_violations").inc(violation_count)
     if first is not None:
         raise errors[first]
     return gidx, evaluated, columns, errors

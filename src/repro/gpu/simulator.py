@@ -26,7 +26,7 @@ from repro.codegen.cost import ProgramCost, cost_of
 from repro.codegen.generator import CodegenOptions, generate
 from repro.dsl.analysis import total_flops
 from repro.dsl.stencil import Stencil
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.gpu.progmodel import VARIANTS, Platform
 from repro.obs import counter, span
 from repro.gpu.timing import TimingBreakdown, kernel_time
@@ -102,23 +102,80 @@ def tile_for(platform: Platform) -> BrickDims:
     return BrickDims((platform.arch.simd_width, 4, 4))
 
 
+#: Largest domain, in points (over 10,000**3), either engine evaluates.
+#: Each integer the model computes is at most the point count times a per-point
+#: factor (halo bytes, sectors, L1 bytes, FLOPs, instructions), so any
+#: factor below 2**23 fits ``int64``; the study's worst is 8,064.
+MAX_DOMAIN_POINTS = 2**40
+
+
+def point_label(name: str, platform: Platform, variant: str) -> str:
+    """How errors name a matrix point: ``stencil/platform/variant``."""
+    return f"{name}/{platform.name}/{variant}"
+
+
 def check_domain(domain: Sequence[int], point: str) -> Tuple[int, int, int]:
     """``domain`` as three positive ``int`` extents, or a typed error.
 
     Anything else — a wrong length, a non-integer extent (``'64'``,
-    ``64.0``) or one below 1 — raises :class:`SimulationError` naming
-    ``point`` and the domain.  The batch engine reports bad domains with
-    the same error.
+    ``64.0``), one below 1, or more than :data:`MAX_DOMAIN_POINTS`
+    points — raises :class:`SimulationError` naming ``point`` and the
+    domain.  The batch engine reports bad domains with the same error.
     """
     try:
         ni, nj, nk = map(operator.index, domain)
     except (TypeError, ValueError):
         pass
     else:
-        if ni > 0 and nj > 0 and nk > 0:
+        if ni > 0 and nj > 0 and nk > 0 and ni * nj * nk <= MAX_DOMAIN_POINTS:
             return ni, nj, nk
     raise SimulationError(
-        f"{point}: domain {domain!r} must be three positive integers"
+        f"{point}: domain {domain!r} must be three positive integers "
+        f"with at most {MAX_DOMAIN_POINTS:,} points"
+    )
+
+
+def variant_config(variant: str) -> Tuple[str, str]:
+    """``variant``'s (data layout, codegen strategy), or a typed error."""
+    if variant not in VARIANTS:
+        raise SimulationError(f"unknown variant '{variant}'; known: {VARIANTS}")
+    return VARIANT_CONFIG[variant]
+
+
+def tile_and_vl(
+    platform: Platform, dims: BrickDims | None, vector_length: int | None
+) -> Tuple[BrickDims, int]:
+    """The tile and vector length a point runs with: the architecture's
+    unless overridden.  Custom tiles narrower than the SIMD width fall
+    back to one vector per row."""
+    dims = dims or tile_for(platform)
+    simd = platform.arch.simd_width
+    return dims, vector_length or (
+        simd if dims.dims[0] % simd == 0 else dims.dims[0]
+    )
+
+
+def tile_error(domain: Sequence[int], tile_shape: Tuple[int, ...]) -> SimulationError:
+    """The error for a ``(ni, nj, nk)`` domain that is not a tile multiple."""
+    return SimulationError(
+        f"domain {dims_to_shape(domain)} is not a multiple of tile {tile_shape}"
+    )
+
+
+def invariant_error(result: SimulationResult, point: str) -> ValidationError | None:
+    """The error for ``result``'s invariant violations, if any (counted
+    in ``simulate.invariant_violations``)."""
+    # Imported lazily: repro.validate reaches back into the harness for
+    # its probes, so a module-level import cycles.
+    from repro.validate import check_result, render_violations
+
+    violations = check_result(result)
+    if not violations:
+        return None
+    counter("simulate.invariant_violations").inc(len(violations))
+    return ValidationError(
+        f"{len(violations)} invariant violation(s) for {point}:\n"
+        + render_violations(violations)
     )
 
 
@@ -148,10 +205,9 @@ def simulate(
     gates export.
     """
     name = stencil_name or stencil.description()
-    check_domain(domain, f"{name}/{platform.name}/{variant}")
-    if variant not in VARIANTS:
-        raise SimulationError(f"unknown variant '{variant}'; known: {VARIANTS}")
-    layout, strategy = VARIANT_CONFIG[variant]
+    point = point_label(name, platform, variant)
+    check_domain(domain, point)
+    layout, strategy = variant_config(variant)
     with span(
         "simulate",
         stencil=name,
@@ -159,11 +215,7 @@ def simulate(
         platform=platform.name,
         domain=f"{domain[0]}x{domain[1]}x{domain[2]}",
     ):
-        dims = dims or tile_for(platform)
-        simd = platform.arch.simd_width
-        # Custom tiles narrower than the SIMD width fall back to one
-        # vector per row.
-        vl = vector_length or (simd if dims.dims[0] % simd == 0 else dims.dims[0])
+        dims, vl = tile_and_vl(platform, dims, vector_length)
         with span("codegen", strategy=strategy, vl=vl):
             program = generate(stencil, dims, CodegenOptions(vl, strategy))
         with span("cost"):
@@ -171,6 +223,8 @@ def simulate(
         vp = platform.profile.variant(variant)
         tile_shape = dims.shape
         domain_np = dims_to_shape(domain)
+        if any(n % b for n, b in zip(domain_np, tile_shape)):
+            raise tile_error(domain, tile_shape)
         with span("traffic", layout=layout):
             traffic = estimate_traffic(
                 stencil, layout, cost, domain_np, platform.arch,
@@ -196,17 +250,7 @@ def simulate(
             strategy=program.strategy,
         )
         if _validate_enabled(check_invariants):
-            # Imported lazily: repro.validate reaches back into the
-            # harness for its probes, so a module-level import cycles.
-            from repro.errors import ValidationError
-            from repro.validate import check_result, render_violations
-
-            violations = check_result(result)
-            if violations:
-                counter("simulate.invariant_violations").inc(len(violations))
-                raise ValidationError(
-                    f"{len(violations)} invariant violation(s) for "
-                    f"{name}/{platform.name}/{variant}:\n"
-                    + render_violations(violations)
-                )
+            error = invariant_error(result, point)
+            if error is not None:
+                raise error
         return result

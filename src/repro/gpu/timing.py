@@ -21,6 +21,8 @@ serial components and a launch overhead:
 FP adds/FMAs are *not* in the issue term: they live on the FP64 pipe,
 modelled by ``t_fp``.  All inputs come from the traffic model and the
 vector-IR cost model, scaled by the platform profile's efficiencies.
+As in :mod:`repro.gpu.traffic`, both engines call the same array
+formulas: :func:`timing_group`, then :func:`timing_columns`.
 
 Register pressure enters as an occupancy factor: once the generated
 kernel's peak live registers exceed the profile's budget, fewer threads
@@ -32,6 +34,9 @@ occupancy cliffs of real hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Tuple
+
+import numpy as np
 
 from repro.codegen.cost import ProgramCost
 from repro.errors import SimulationError
@@ -118,6 +123,66 @@ class TimingBreakdown:
         return max(terms, key=terms.get)
 
 
+class TimingGroup(NamedTuple):
+    """The timing model's constants for one (program, platform, variant):
+    scalars, or arrays with one entry per point when gathered by a batch."""
+
+    hbm_bw: float
+    l1_den: float
+    flops_pt: int  # executed FLOPs per tile
+    fp_den: float
+    shuffles: int  # lane shifts per tile
+    shuf_cyc: float
+    shuf_den: float
+    instr_pt: int  # memory + overhead instructions per tile
+    issue_den: float
+    occupancy: float
+    launch: float
+
+
+def timing_group(
+    arch: GPUArchitecture, profile: ModelProfile, vp: VariantProfile, cost: ProgramCost
+) -> TimingGroup:
+    """The per-group constants of one program on one platform variant."""
+    occ = occupancy_factor(cost.registers, profile.reg_budget)
+    # Memory-instruction issue (loads + stores + per-tile overhead).
+    mem_instr = cost.loads_total + cost.stores
+    if vp.scalarized:
+        mem_instr *= cost.vl * vp.scalarized_slots
+    return TimingGroup(
+        # HBM stream: empirical ceiling x variant efficiency x occupancy.
+        hbm_bw=arch.hbm_bw * profile.mixbench_bw_frac * vp.bw_frac * occ,
+        l1_den=arch.l1_bw * vp.l1_frac * occ,
+        # FP64 stream: grouped codegen executes ~points+groups FLOPs per
+        # point; scatter executes 2*points (per-tap FMAs).  Either way the
+        # surplus over the paper's normalised minimum is what pulls
+        # high-AI stencils below the Roofline (Table 3's 125pt row).
+        flops_pt=cost.flops,
+        fp_den=arch.peak_fp64 * profile.mixbench_fp_frac * vp.fp_eff,
+        # Exposed shuffle/exchange latency (serial with the data streams).
+        shuffles=cost.shuffles,
+        shuf_cyc=shuffle_cycles_for(arch.vendor),
+        shuf_den=arch.num_cus * arch.clock_ghz * 1e9,
+        instr_pt=mem_instr + TILE_OVERHEAD_INSTRS,
+        issue_den=arch.issue_rate * vp.issue_eff * occ,
+        occupancy=occ,
+        launch=profile.launch_overhead_s,
+    )
+
+
+def timing_columns(
+    g: TimingGroup, read: np.ndarray, write: np.ndarray, l1_bytes: np.ndarray,
+    ntiles: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """``(t_hbm, t_l1, t_fp, t_shuffle, t_issue)`` for arrays of sweeps."""
+    t_hbm = (read + write) / g.hbm_bw
+    t_l1 = l1_bytes / g.l1_den
+    t_fp = (g.flops_pt * ntiles) / g.fp_den
+    t_shuffle = (g.shuffles * ntiles * g.shuf_cyc) / g.shuf_den
+    t_issue = (ntiles * g.instr_pt) / g.issue_den
+    return t_hbm, t_l1, t_fp, t_shuffle, t_issue
+
+
 def kernel_time(
     arch: GPUArchitecture,
     profile: ModelProfile,
@@ -127,41 +192,7 @@ def kernel_time(
     ntiles: int,
 ) -> TimingBreakdown:
     """Estimate one sweep's runtime from traffic + static op counts."""
-    occ = occupancy_factor(cost.registers, profile.reg_budget)
-
-    # HBM stream: empirical ceiling x variant efficiency x occupancy.
-    hbm_bw = arch.hbm_bw * profile.mixbench_bw_frac * vp.bw_frac * occ
-    t_hbm = traffic.hbm_total_bytes / hbm_bw
-
-    # L1 stream.
-    t_l1 = traffic.l1_bytes / (arch.l1_bw * vp.l1_frac * occ)
-
-    # FP64 stream: grouped codegen executes ~points+groups FLOPs per
-    # point; scatter executes 2*points (per-tap FMAs).  Either way the
-    # surplus over the paper's normalised minimum is what pulls high-AI
-    # stencils below the Roofline (Table 3's 125pt row).
-    flops_exec = cost.flops * ntiles
-    t_fp = flops_exec / (arch.peak_fp64 * profile.mixbench_fp_frac * vp.fp_eff)
-
-    # Exposed shuffle/exchange latency (serial with the data streams).
-    shuffle_cycles = shuffle_cycles_for(arch.vendor)
-    t_shuffle = (
-        cost.shuffles * ntiles * shuffle_cycles / (arch.num_cus * arch.clock_ghz * 1e9)
-    )
-
-    # Memory-instruction issue (loads + stores + per-tile overhead).
-    mem_instr = cost.loads_total + cost.stores
-    if vp.scalarized:
-        mem_instr *= cost.vl * vp.scalarized_slots
-    instrs = ntiles * (mem_instr + TILE_OVERHEAD_INSTRS)
-    t_issue = instrs / (arch.issue_rate * vp.issue_eff * occ)
-
-    return TimingBreakdown(
-        t_hbm=t_hbm,
-        t_l1=t_l1,
-        t_fp=t_fp,
-        t_shuffle=t_shuffle,
-        t_issue=t_issue,
-        launch_overhead=profile.launch_overhead_s,
-        occupancy=occ,
-    )
+    g = timing_group(arch, profile, vp, cost)
+    row = (traffic.hbm_read_bytes, traffic.hbm_write_bytes, traffic.l1_bytes, ntiles)
+    times = timing_columns(g, *(np.array([v]) for v in row))
+    return TimingBreakdown(*(t.tolist()[0] for t in times), g.launch, g.occupancy)

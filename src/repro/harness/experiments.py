@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
-from repro.errors import MetricError, ResultStoreError
+from repro.errors import MetricError, ResultStoreError, SimulationError
 from repro.exec import (
     RetryPolicy,
     TaskFailure,
@@ -36,7 +36,7 @@ from repro.exec import (
     validate_simulation,
 )
 from repro.gpu.progmodel import VARIANTS, Platform, study_platforms
-from repro.gpu.simulator import SimulationResult
+from repro.gpu.simulator import SimulationResult, check_domain
 from repro.obs import counter, span
 from repro.resilience import FaultPlan
 
@@ -144,18 +144,14 @@ def config_from_dict(doc: Optional[Dict]) -> ExperimentConfig:
         raise MetricError(
             f"unknown variant(s) {bad_variants}; known: {list(VARIANTS)}"
         )
-    if (
-        not isinstance(domain, (list, tuple))
-        or len(domain) != 3
-        or not all(isinstance(d, int) and d > 0 for d in domain)
-    ):
-        raise MetricError(
-            f"config 'domain' must be three positive integers, got {domain!r}"
-        )
+    try:
+        domain = check_domain(domain, "config")
+    except SimulationError as exc:
+        raise MetricError(str(exc)) from None
     config = ExperimentConfig(
         stencils=tuple(stencils),
         variants=tuple(variants),
-        domain=(domain[0], domain[1], domain[2]),
+        domain=domain,
         platform_filter=tuple(platforms),
     )
     config.platforms()  # validates platform names (raises MetricError)

@@ -26,7 +26,7 @@ from repro.codegen.generator import CodegenOptions, generate
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
 from repro.gpu.progmodel import VARIANTS, Platform
-from repro.gpu.simulator import VARIANT_CONFIG, SimulationResult, simulate, tile_for
+from repro.gpu.simulator import SimulationResult, simulate, tile_and_vl, variant_config
 from repro.kernels.array_kernels import run_array_kernel, tile_blocks
 from repro.kernels.brick_kernels import brick_input_from_dense, run_brick_kernel
 from repro.reference.naive import random_field
@@ -59,12 +59,8 @@ def run(
     multiple of the platform's tile.  ``input_dense`` (numpy order, with
     an ``r``-deep halo) defaults to a seeded random field.
     """
-    if variant not in VARIANTS:
-        raise SimulationError(f"unknown variant '{variant}'; known: {VARIANTS}")
-    dims = dims or tile_for(platform)
-    layout, strategy = VARIANT_CONFIG[variant]
-    simd = platform.arch.simd_width
-    vl = simd if dims.dims[0] % simd == 0 else dims.dims[0]
+    layout, strategy = variant_config(variant)
+    dims, vl = tile_and_vl(platform, dims, None)
     program = generate(stencil, dims, CodegenOptions(vl, strategy))
     r = stencil.radius
     shape = tuple(n + 2 * r for n in dims_to_shape(domain))

@@ -19,6 +19,7 @@ from repro.dsl.shapes import by_name
 from repro.errors import MetricError, SimulationError
 from repro.exec import parallel_map
 from repro.gpu import BatchPoint, simulate, simulate_batch, study_platforms
+from repro.gpu.simulator import MAX_DOMAIN_POINTS
 from repro.harness import config_from_dict
 from repro.resilience import TaskFailure
 
@@ -30,6 +31,10 @@ BAD_DOMAINS = {
     "short": (64, 4),
     "long": (64, 4, 4, 1),
     "float": (64.0, 4, 4),
+    # Past MAX_DOMAIN_POINTS, where int64 columns could wrap.
+    "past_bound": (MAX_DOMAIN_POINTS + 1, 1, 1),
+    "wraps_int64": (2**26, 2**23, 2**23),
+    "past_int64": (2**63, 4, 4),
 }
 
 COUNTERS = ("simulate.calls", "simulate.tiles", "codegen.vector_ops")
@@ -120,6 +125,25 @@ def test_tile_errors_still_follow_domain_errors():
     assert "is not a multiple of tile" in out[0].message
     assert "positive integers" in out[1].message
     assert out[2] == _scalar(points[2])
+
+
+@pytest.mark.parametrize("capture", [False, True])
+def test_domain_at_the_bound_is_exact_in_both_engines(capture, registry):
+    domain = (2**16, 2**12, 2**12)
+    assert domain[0] * domain[1] * domain[2] == MAX_DOMAIN_POINTS
+    point = _point(domain, stencil=by_name("125pt").build(), stencil_name="125pt")
+    (got,) = simulate_batch([point], capture_failures=capture)
+    tiles = registry.counter("simulate.tiles").value
+    assert got == _scalar(point)
+    tile_pts = point.platform.arch.simd_width * 4 * 4
+    assert tiles == MAX_DOMAIN_POINTS // tile_pts
+    assert got.flops == MAX_DOMAIN_POINTS * point.stencil.flops_per_point()
+    assert got.traffic.load_sectors % tiles == 0
+    assert got.traffic.l1_bytes == (
+        (got.traffic.load_sectors + got.traffic.store_sectors)
+        * point.platform.arch.sector_bytes
+    )
+    assert got.traffic.hbm_write_bytes == MAX_DOMAIN_POINTS * 8.0
 
 
 def test_integer_like_extents_are_accepted_like_scalar():
