@@ -11,9 +11,10 @@ each input row once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.codegen.vector_ir import Add, Init, Load, Mac, Shift, Store, VectorProgram
+from repro.codegen.vector_ir import Add, Load, Mac, Shift, Store, VectorProgram
 
 
 @dataclass(frozen=True)
@@ -59,37 +60,22 @@ class ProgramCost:
 
 
 def cost_of(program: VectorProgram) -> ProgramCost:
-    """Walk ``program`` and tally its static costs."""
+    """Tally ``program``'s static costs by op type and load kind."""
     bk, bj, bi = program.tile
-    r, vl = program.radius, program.vl
-    loads = {"aligned": 0, "halo": 0, "unaligned": 0}
-    halo_lanes = 0
-    shuffles = adds = macs = stores = 0
-    for op in program.ops:
-        if isinstance(op, Load):
-            loads[op.kind] += 1
-            if op.kind == "halo":
-                halo_lanes += r  # only the r lanes next to the tile are real
-        elif isinstance(op, Shift):
-            shuffles += 1
-        elif isinstance(op, Add):
-            adds += 1
-        elif isinstance(op, Mac):
-            macs += 1
-        elif isinstance(op, Store):
-            stores += 1
-        elif isinstance(op, Init):
-            pass
+    ops = program.ops
+    tally = Counter(map(type, ops))
+    loads = Counter(op.kind for op in ops if type(op) is Load)
     return ProgramCost(
         tile_points=bk * bj * bi,
-        vl=vl,
+        vl=program.vl,
         loads_aligned=loads["aligned"],
         loads_halo=loads["halo"],
         loads_unaligned=loads["unaligned"],
-        shuffles=shuffles,
-        adds=adds,
-        macs=macs,
-        stores=stores,
+        shuffles=tally[Shift],
+        adds=tally[Add],
+        macs=tally[Mac],
+        stores=tally[Store],
         registers=program.max_live_registers(),
-        halo_lanes=halo_lanes,
+        # only the r lanes of a halo load next to the tile are real
+        halo_lanes=loads["halo"] * program.radius,
     )

@@ -23,6 +23,7 @@ strategy's per-tap unaligned loads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Dict, List, Tuple
 
 from repro.bricks.layout import BrickDims
@@ -187,16 +188,13 @@ class _Builder:
         for ok, oj, oi, coeff in self.taps:
             groups.setdefault(coeff.key(), (coeff, []))[1].append((ok, oj, oi))
         self.coeff_groups = [groups[k] for k in sorted(groups)]
-        self._raw: Dict[Tuple[int, int], List[str]] = {}
+        #: Vector registers holding input row ``(k, j)`` shifted by ``oi``
+        #: lanes (``oi == 0``: the aligned loads), and the halo vectors.
+        self._rows: Dict[Tuple[int, int, int], List[str]] = {}
         self._halo: Dict[Tuple[int, int, str], str] = {}
-        self._shifted: Dict[Tuple[int, int, int], List[str]] = {}
-        self._uniq = 0
+        self._uniq = count(1)
 
     # ---- helpers ---------------------------------------------------------
-    def _fresh(self, base: str) -> str:
-        self._uniq += 1
-        return f"{base}.{self._uniq}"
-
     def _program(self, strategy: str) -> VectorProgram:
         return VectorProgram(
             ops=self.ops,
@@ -210,17 +208,9 @@ class _Builder:
             },
         )
 
-    def _raw_row(self, k: int, j: int) -> List[str]:
-        """Aligned vector loads covering input row (k, j), cached."""
-        key = (k, j)
-        if key not in self._raw:
-            regs = []
-            for v in range(self.nvec):
-                reg = f"row_{k}_{j}_v{v}"
-                self.ops.append(Load(reg, k, j, v * self.vl, "aligned"))
-                regs.append(reg)
-            self._raw[key] = regs
-        return self._raw[key]
+    def _accs(self, k: int, j: int) -> List[str]:
+        """The accumulator of each vector of output row (k, j)."""
+        return [f"acc_{k}_{j}_{v}" for v in range(self.nvec)]
 
     def _halo_reg(self, k: int, j: int, side: str) -> str:
         """Partial halo vector left/right of row (k, j), cached."""
@@ -233,32 +223,34 @@ class _Builder:
         return self._halo[key]
 
     def _shifted_row(self, k: int, j: int, oi: int) -> List[str]:
-        """Row (k, j) shifted by ``oi`` lanes, built from aligned loads + shuffles."""
-        if oi == 0:
-            return self._raw_row(k, j)
-        key = (k, j, oi)
-        if key not in self._shifted:
-            raw = self._raw_row(k, j)
-            regs = []
-            for v in range(self.nvec):
-                reg = f"sh_{k}_{j}_{oi}_v{v}"
-                if oi > 0:
-                    lo = raw[v]
-                    hi = raw[v + 1] if v + 1 < self.nvec else self._halo_reg(k, j, "R")
-                    amount = oi
-                else:
-                    lo = raw[v - 1] if v >= 1 else self._halo_reg(k, j, "L")
-                    hi = raw[v]
-                    amount = self.vl + oi
-                self.ops.append(Shift(reg, lo, hi, amount))
-                regs.append(reg)
-            self._shifted[key] = regs
-        return self._shifted[key]
+        """Row (k, j) shifted by ``oi`` lanes, cached.
 
-    def _clear_caches(self) -> None:
-        self._raw.clear()
-        self._halo.clear()
-        self._shifted.clear()
+        ``oi == 0`` is the row's aligned vector loads; any other shift
+        is built from them (and a halo vector) by lane shuffles.
+        """
+        regs = self._rows.get((k, j, oi))
+        if regs is not None:
+            return regs
+        nvec, vl = self.nvec, self.vl
+        if oi == 0:
+            regs = [f"row_{k}_{j}_v{v}" for v in range(nvec)]
+            self.ops.extend(
+                map(Load, regs, repeat(k), repeat(j), range(0, nvec * vl, vl),
+                    repeat("aligned"))
+            )
+        else:
+            raw = self._shifted_row(k, j, 0)
+            regs = [f"sh_{k}_{j}_{oi}_v{v}" for v in range(nvec)]
+            if oi > 0:  # the last vector shifts in the right halo
+                self.ops.extend(map(Shift, regs, raw, raw[1:], repeat(oi)))
+                self.ops.append(
+                    Shift(regs[-1], raw[-1], self._halo_reg(k, j, "R"), oi)
+                )
+            else:  # the first vector shifts in the left halo
+                los = [self._halo_reg(k, j, "L"), *raw[:-1]]
+                self.ops.extend(map(Shift, regs, los, raw, repeat(vl + oi)))
+        self._rows[(k, j, oi)] = regs
+        return regs
 
     def _accumulate_grouped(self, acc: str, regs_by_group) -> None:
         """Sum each coefficient group, then one Mac per group.
@@ -267,13 +259,14 @@ class _Builder:
         adds plus ``groups`` FMAs per output vector instead of one FMA
         per tap (compare the grouped expressions in paper Figure 2).
         """
+        append, uniq = self.ops.append, self._uniq
         for coeff, regs in regs_by_group:
             total = regs[0]
             for reg in regs[1:]:
-                tmp = self._fresh("s")
-                self.ops.append(Add(tmp, total, reg))
+                tmp = f"s.{next(uniq)}"
+                append(Add(tmp, total, reg))
                 total = tmp
-            self.ops.append(Mac(acc, total, coeff))
+            append(Mac(acc, total, coeff))
 
     # ---- strategies ------------------------------------------------------
     def naive(self) -> VectorProgram:
@@ -282,77 +275,69 @@ class _Builder:
         This is what the compiler sees for the plain tiled-array kernel:
         no cross-tap reuse, every neighbour access its own global read.
         """
+        ops, vl, uniq = self.ops, self.vl, self._uniq
+        groups = [
+            (coeff, [(ok, oj, oi, "unaligned" if oi % vl else "aligned")
+                     for ok, oj, oi in offs])
+            for coeff, offs in self.coeff_groups
+        ]
         for k in range(self.bk):
             for j in range(self.bj):
-                for v in range(self.nvec):
-                    acc = f"acc_{k}_{j}_{v}"
-                    self.ops.append(Init(acc))
+                for v, acc in enumerate(self._accs(k, j)):
+                    ops.append(Init(acc))
                     regs_by_group = []
-                    for coeff, offs in self.coeff_groups:
+                    for coeff, taps in groups:
                         regs = []
-                        for ok, oj, oi in offs:
-                            tmp = self._fresh("t")
-                            kind = "aligned" if oi % self.vl == 0 else "unaligned"
-                            self.ops.append(
-                                Load(tmp, k + ok, j + oj, v * self.vl + oi, kind)
-                            )
+                        for ok, oj, oi, kind in taps:
+                            tmp = f"t.{next(uniq)}"
+                            ops.append(Load(tmp, k + ok, j + oj, v * vl + oi, kind))
                             regs.append(tmp)
                         regs_by_group.append((coeff, regs))
                     self._accumulate_grouped(acc, regs_by_group)
-                    self.ops.append(Store(acc, k, j, v))
+                    ops.append(Store(acc, k, j, v))
         return self._program("naive")
 
     def gather(self, reuse: bool = True) -> VectorProgram:
         """Per-output gathering with (optional) reuse buffers."""
+        ops, row = self.ops, self._shifted_row
         for k in range(self.bk):
             for j in range(self.bj):
                 if not reuse:
-                    self._clear_caches()
-                accs = []
-                for v in range(self.nvec):
-                    acc = f"acc_{k}_{j}_{v}"
-                    self.ops.append(Init(acc))
-                    accs.append(acc)
+                    self._rows.clear()
+                    self._halo.clear()
+                accs = self._accs(k, j)
+                ops.extend(map(Init, accs))
                 # Resolve each tap's shifted row once, then accumulate by
                 # coefficient group per vector.
                 shifted_for = {
-                    (ok, oj, oi): self._shifted_row(k + ok, j + oj, oi)
+                    (ok, oj, oi): row(k + ok, j + oj, oi)
                     for ok, oj, oi, _ in self.taps
                 }
-                for v in range(self.nvec):
-                    regs_by_group = [
+                for v, acc in enumerate(accs):
+                    self._accumulate_grouped(acc, [
                         (coeff, [shifted_for[off][v] for off in offs])
                         for coeff, offs in self.coeff_groups
-                    ]
-                    self._accumulate_grouped(accs[v], regs_by_group)
-                for v in range(self.nvec):
-                    self.ops.append(Store(accs[v], k, j, v))
+                    ])
+                ops.extend(map(Store, accs, repeat(k), repeat(j), range(self.nvec)))
         return self._program("gather")
 
     def scatter(self) -> VectorProgram:
         """Walk input rows once; scatter each into all using accumulators."""
-        accs: Dict[Tuple[int, int, int], str] = {}
-        for k in range(self.bk):
-            for j in range(self.bj):
-                for v in range(self.nvec):
-                    acc = f"acc_{k}_{j}_{v}"
-                    self.ops.append(Init(acc))
-                    accs[(k, j, v)] = acc
-        for k in range(-self.r, self.bk + self.r):
-            for j in range(-self.r, self.bj + self.r):
-                contributing = [
-                    (ok, oj, oi, coeff)
-                    for ok, oj, oi, coeff in self.taps
-                    if 0 <= k - ok < self.bk and 0 <= j - oj < self.bj
-                ]
-                if not contributing:
-                    continue
-                for ok, oj, oi, coeff in contributing:
-                    shifted = self._shifted_row(k, j, oi)
-                    for v in range(self.nvec):
-                        self.ops.append(
-                            Mac(accs[(k - ok, j - oj, v)], shifted[v], coeff)
-                        )
-        for (k, j, v), acc in sorted(accs.items()):
-            self.ops.append(Store(acc, k, j, v))
+        ops, row, r = self.ops, self._shifted_row, self.r
+        accs = {(k, j): self._accs(k, j) for k in range(self.bk) for j in range(self.bj)}
+        for regs in accs.values():
+            ops.extend(map(Init, regs))
+        # Taps by the output row they reach from an input row, in tap order.
+        by_row: Dict[Tuple[int, int], List[tuple]] = {}
+        for ok, oj, oi, coeff in self.taps:
+            by_row.setdefault((ok, oj), []).append((oi, coeff))
+        for k in range(-r, self.bk + r):
+            for j in range(-r, self.bj + r):
+                for (ok, oj), row_taps in by_row.items():
+                    out = accs.get((k - ok, j - oj))
+                    if out is not None:
+                        for oi, coeff in row_taps:
+                            ops.extend(map(Mac, out, row(k, j, oi), repeat(coeff)))
+        for (k, j), regs in accs.items():
+            ops.extend(map(Store, regs, repeat(k), repeat(j), range(self.nvec)))
         return self._program("scatter")

@@ -32,12 +32,22 @@ Ops
 
 Coordinates: rows are named ``(k, j)`` with ``k`` the slowest dimension;
 loads may address ``k in [-r, bk + r)`` etc.; stores only interior rows.
+
+Each op is an immutable, hashable ``NamedTuple`` whose register fields
+come first (``dst`` before its sources, ``Store``'s ``src`` before its
+coordinates).  Programs run to tens of thousands of ops, so a tuple is
+what keeps building and scanning them cheap; code dispatches on the op
+type with ``isinstance`` and reads fields by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import count
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.dsl.coeffs import Coeff
 from repro.errors import CodegenError
@@ -45,8 +55,7 @@ from repro.errors import CodegenError
 LOAD_KINDS = ("aligned", "halo", "unaligned")
 
 
-@dataclass(frozen=True)
-class Load:
+class Load(NamedTuple):
     dst: str
     k: int
     j: int
@@ -54,35 +63,30 @@ class Load:
     kind: str
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(NamedTuple):
     dst: str
     lo: str
     hi: str
     amount: int
 
 
-@dataclass(frozen=True)
-class Init:
+class Init(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     dst: str
     a: str
     b: str
 
 
-@dataclass(frozen=True)
-class Mac:
+class Mac(NamedTuple):
     dst: str
     src: str
     coeff: Coeff
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(NamedTuple):
     src: str
     k: int
     j: int
@@ -135,33 +139,35 @@ class VectorProgram:
             raise CodegenError(f"vl {vl} does not divide tile i-extent {bi}")
         defined: set = set()
         stored: set = set()
+        define = defined.add
         for op in self.ops:
-            if isinstance(op, Load):
+            op_type = type(op)
+            if op_type is Load:
                 if op.kind not in LOAD_KINDS:
                     raise CodegenError(f"bad load kind {op.kind!r}")
                 if not (-r <= op.k < bk + r and -r <= op.j < bj + r):
                     raise CodegenError(f"load row ({op.k},{op.j}) outside halo")
                 if op.i0 + vl <= -r or op.i0 >= bi + r:
                     raise CodegenError(f"load at i0={op.i0} reads nothing")
-                defined.add(op.dst)
-            elif isinstance(op, Shift):
+                define(op.dst)
+            elif op_type is Shift:
                 if not 0 < op.amount < vl:
                     raise CodegenError(f"shift amount {op.amount} not in (0,{vl})")
                 if op.lo not in defined or op.hi not in defined:
                     raise CodegenError(f"shift uses undefined register")
-                defined.add(op.dst)
-            elif isinstance(op, Init):
-                defined.add(op.dst)
-            elif isinstance(op, Add):
+                define(op.dst)
+            elif op_type is Init:
+                define(op.dst)
+            elif op_type is Add:
                 if op.a not in defined or op.b not in defined:
                     raise CodegenError("add uses undefined register")
-                defined.add(op.dst)
-            elif isinstance(op, Mac):
+                define(op.dst)
+            elif op_type is Mac:
                 if op.dst not in defined:
                     raise CodegenError(f"mac into uninitialised register {op.dst}")
                 if op.src not in defined:
                     raise CodegenError(f"mac from undefined register {op.src}")
-            elif isinstance(op, Store):
+            elif op_type is Store:
                 if op.src not in defined:
                     raise CodegenError(f"store of undefined register {op.src}")
                 if not (0 <= op.k < bk and 0 <= op.j < bj and 0 <= op.v < self.nvec):
@@ -181,10 +187,13 @@ class VectorProgram:
     def max_live_registers(self) -> int:
         """Peak number of simultaneously-live virtual registers.
 
-        Computed by a liveness scan in linear time; a proxy for the
-        register pressure of the generated kernel.  A register dies after
-        the op of its last use (an ``Init`` counts as a use of its
-        accumulator), or after the op defining it if no later op uses it.
+        A proxy for the register pressure of the generated kernel.  A
+        register is live from its first op to the op of its last use (an
+        ``Init`` counts as a use of its accumulator), or at its first op
+        only if no later op uses it; a name defined again after that is
+        live at each such defining op.  The peak is the most of these
+        intervals that cover one op, counted with NumPy over the whole
+        program at once (see :func:`_liveness_peak`).
 
         A program ``generate`` chose by comparing peaks returns the peak
         measured then, so ``cost_of`` does not scan it again (generated
@@ -222,41 +231,60 @@ class VectorProgram:
         return "\n".join(lines)
 
 
+#: The register fields of each op type: ``(registers, defines)``.  The
+#: first ``registers`` fields of an op name registers, and the first
+#: ``defines`` of those are written rather than read.  An ``Init`` counts
+#: as a use of its accumulator, so a ``Mac`` into it keeps it live.
+_REGISTERS = {
+    Load: (1, 1),
+    Shift: (3, 1),
+    Init: (1, 0),
+    Add: (3, 1),
+    Mac: (2, 0),
+    Store: (1, 0),
+}
+_CODE = {op_type: code for code, op_type in enumerate(_REGISTERS)}
+
+
 def _liveness_peak(ops: List[Op]) -> int:
-    """The linear liveness scan behind :meth:`VectorProgram.max_live_registers`."""
-    last_use: Dict[str, int] = {}
-    for idx, op in enumerate(ops):
-        for reg in _uses(op):
-            last_use[reg] = idx
-        if isinstance(op, Init):
-            last_use[op.dst] = idx
-    live: set = set()
-    deaths: Dict[int, List[str]] = {}
-    peak = 0
-    for idx, op in enumerate(ops):
-        d = _defines(op)
-        for reg in _uses(op) if d is None else (d, *_uses(op)):
-            if reg not in live:
-                live.add(reg)
-                deaths.setdefault(max(idx, last_use.get(reg, -1)), []).append(reg)
-        peak = max(peak, len(live))
-        live.difference_update(deaths.pop(idx, ()))
-    return peak
+    """The interval count behind :meth:`VectorProgram.max_live_registers`.
 
-
-def _uses(op: Op) -> Tuple[str, ...]:
-    if isinstance(op, Shift):
-        return (op.lo, op.hi)
-    if isinstance(op, Add):
-        return (op.a, op.b)
-    if isinstance(op, Mac):
-        return (op.src, op.dst)
-    if isinstance(op, Store):
-        return (op.src,)
-    return ()
-
-
-def _defines(op: Op) -> str | None:
-    if isinstance(op, (Load, Shift, Init, Add)):
-        return op.dst
-    return None
+    A register is live from its first appearance to its last use, or
+    only at its first appearance if no later op uses it.  A name defined
+    again after that interval is a fresh register, live at its defining
+    op only.  The peak is the largest number of these intervals that
+    cover one op: a prefix sum of interval starts minus interval ends.
+    """
+    n = len(ops)
+    if not n:
+        return 0
+    codes = np.fromiter(map(_CODE.__getitem__, map(type, ops)), np.intp, n)
+    # Every register field of every op: its name, op index, and whether
+    # the op defines (rather than reads) it.  Grouped by type, then field.
+    names: List[str] = []
+    at: List[np.ndarray] = []
+    defines: List[bool] = []
+    for code, (nregs, ndefs) in enumerate(_REGISTERS.values()):
+        where = np.flatnonzero(codes == code)
+        if not where.size:
+            continue
+        of_type = list(map(ops.__getitem__, where.tolist()))
+        for field_no in range(nregs):
+            names.extend(map(itemgetter(field_no), of_type))
+            at.append(where)
+            defines.append(field_no < ndefs)
+    # A name's id is the index of its first entry in ``names``; an index
+    # no name took keeps ``first == n`` and is left out of the count.
+    reg = np.fromiter(map({}.setdefault, names, count()), np.intp, len(names))
+    pos = np.concatenate(at)
+    define = np.repeat(defines, [len(where) for where in at])
+    first = np.full(len(names), n)
+    np.minimum.at(first, reg, pos)
+    last = np.full(len(names), -1)
+    np.maximum.at(last, reg[~define], pos[~define])
+    end = np.maximum(first, last)
+    again = pos[define & (pos > end[reg])]
+    named = first < n
+    starts = np.bincount(np.concatenate((first[named], again)), minlength=n + 1)
+    ends = np.bincount(np.concatenate((end[named], again)) + 1, minlength=n + 1)
+    return int(np.cumsum(starts - ends).max())

@@ -144,6 +144,10 @@ def config_from_dict(doc: Optional[Dict]) -> ExperimentConfig:
         raise MetricError(
             f"unknown variant(s) {bad_variants}; known: {list(VARIANTS)}"
         )
+    if isinstance(domain, (list, tuple)) and any(
+        isinstance(n, bool) for n in domain
+    ):  # operator.index takes a JSON true as 1
+        raise MetricError(f"config: domain {domain!r} has a boolean extent")
     try:
         domain = check_domain(domain, "config")
     except SimulationError as exc:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import harness, obs
 from repro.bricks import BrickDims
 from repro.codegen import CodegenOptions, clear_codegen_memo, cost_of, generate
 from repro.codegen import vector_ir
@@ -13,8 +14,6 @@ from repro.codegen.vector_ir import (
     Shift,
     Store,
     VectorProgram,
-    _defines,
-    _uses,
 )
 from repro.dsl import by_name, cube, star
 from repro.errors import CodegenError, LayoutError
@@ -180,6 +179,26 @@ class TestProgramInvariants:
         assert "gather" in text and "load" in text and "more ops" in text
 
 
+def _uses(op):
+    """Registers ``op`` reads (an ``Init`` is not a read here)."""
+    if isinstance(op, Shift):
+        return (op.lo, op.hi)
+    if isinstance(op, Add):
+        return (op.a, op.b)
+    if isinstance(op, Mac):
+        return (op.src, op.dst)
+    if isinstance(op, Store):
+        return (op.src,)
+    return ()
+
+
+def _defines(op):
+    """The register ``op`` writes, if any."""
+    if isinstance(op, (Load, Shift, Init, Add)):
+        return op.dst
+    return None
+
+
 def quadratic_max_live(prog):
     """Reference liveness: rescan the whole live set after every op."""
     last_use = {}
@@ -206,10 +225,18 @@ class TestLiveness:
         stencil = by_name(name).build()
         dims = BrickDims((simd, 4, 4))
         checked = 0
-        for strategy in ("naive", "gather", "scatter", "auto"):
+        for strategy, reuse in (
+            ("naive", True),
+            ("gather", True),
+            ("gather", False),  # rows reloaded after they died
+            ("scatter", True),
+            ("auto", True),
+        ):
             for vl in (simd, simd // 2):
                 try:
-                    prog = generate(stencil, dims, CodegenOptions(vl, strategy))
+                    prog = generate(
+                        stencil, dims, CodegenOptions(vl, strategy, reuse)
+                    )
                 except (CodegenError, LayoutError):
                     continue  # combinations generate() rejects have no program
                 assert prog.max_live_registers() == quadratic_max_live(prog)
@@ -235,6 +262,103 @@ class TestLiveness:
         prog = VectorProgram(ops, (1, 1, 4), 0, 2, "gather")
         assert prog.max_live_registers() == quadratic_max_live(prog) == 3
 
+    def test_empty_program_has_no_live_registers(self):
+        prog = VectorProgram([], (1, 1, 4), 0, 2, "gather")
+        assert prog.max_live_registers() == quadratic_max_live(prog) == 0
+
+    def test_store_of_a_never_defined_register(self):
+        # The unvalidated store's register is live at that op: with a
+        # and b it makes the peak; without it the peak would be 2.
+        ops = [
+            Load("a", 0, 0, 0, "aligned"),
+            Load("b", 0, 0, 0, "aligned"),
+            Store("ghost", 0, 0, 0),
+            Add("a", "a", "b"),
+            Store("a", 0, 0, 1),
+        ]
+        prog = VectorProgram(ops, (1, 1, 4), 0, 2, "gather")
+        assert prog.max_live_registers() == quadratic_max_live(prog) == 3
+
+    @pytest.mark.parametrize(
+        "ops, peak",
+        [
+            # The first reload makes the peak with c and d live; the
+            # second finds nothing else live.
+            (
+                [
+                    Load("a", 0, 0, 0, "aligned"),
+                    Store("a", 0, 0, 0),
+                    Load("c", 0, 0, 0, "aligned"),
+                    Load("d", 0, 0, 0, "aligned"),
+                    Load("a", 0, 0, 0, "aligned"),
+                    Store("c", 0, 0, 1),
+                    Store("d", 0, 0, 2),
+                    Load("a", 0, 0, 0, "aligned"),
+                ],
+                3,
+            ),
+            # The peak (c, d, e, f) falls between the two reloads, which
+            # must not keep "a" live across it.
+            (
+                [
+                    Load("a", 0, 0, 0, "aligned"),
+                    Store("a", 0, 0, 0),
+                    Load("a", 0, 0, 0, "aligned"),
+                    Load("c", 0, 0, 0, "aligned"),
+                    Load("d", 0, 0, 0, "aligned"),
+                    Load("e", 0, 0, 0, "aligned"),
+                    Add("f", "c", "d"),
+                    Add("g", "e", "f"),
+                    Load("a", 0, 0, 0, "aligned"),
+                    Store("g", 0, 0, 1),
+                ],
+                4,
+            ),
+        ],
+        ids=["reload-at-peak", "peak-between-reloads"],
+    )
+    def test_name_redefined_twice_after_it_died(self, ops, peak):
+        # "a" dies at its store; each later load of the name is a fresh
+        # register, live at that op only.
+        prog = VectorProgram(ops, (1, 1, 8), 0, 2, "gather")
+        assert prog.max_live_registers() == quadratic_max_live(prog) == peak
+
+    def test_init_counts_as_a_use(self):
+        # Zeroing "acc" again keeps it live from its first Init through
+        # the Add, where b, c and d are live too.
+        ops = [
+            Init("acc"),
+            Store("acc", 0, 0, 0),
+            Load("b", 0, 0, 0, "aligned"),
+            Load("c", 0, 0, 0, "aligned"),
+            Add("d", "b", "c"),
+            Store("d", 0, 0, 1),
+            Init("acc"),
+        ]
+        prog = VectorProgram(ops, (1, 1, 4), 0, 2, "gather")
+        assert prog.max_live_registers() == quadratic_max_live(prog) == 4
+
+    def test_cold_study_scans_each_candidate_once(self, monkeypatch):
+        # 18 naive programs are scanned by cost_of, and each of the 18
+        # auto programs scans its gather and scatter candidates; cost_of
+        # reuses the chosen one's peak.  More scans mean a regression.
+        scans = []
+        scan = vector_ir._liveness_peak
+        monkeypatch.setattr(
+            vector_ir, "_liveness_peak", lambda ops: scans.append(1) or scan(ops)
+        )
+        prev = obs.get_registry()
+        registry = obs.set_registry(obs.MetricsRegistry())
+        clear_codegen_memo()
+        try:
+            study = harness.run_study()
+        finally:
+            obs.set_registry(prev)
+            clear_codegen_memo()
+        assert len(study) == 90 and study.complete
+        assert len(scans) == 54
+        assert registry.counter("codegen.memo_misses").value == 36
+
     def test_cost_of_reuses_the_scan_generate_chose_by(self, monkeypatch):
         # The auto rule scans both candidates; cost_of must not scan the
         # chosen one again (a cold sweep would pay for it once more).
@@ -252,3 +376,30 @@ class TestLiveness:
         assert gen(stencil, "auto") is prog  # memoised, not regenerated
         assert len(scanned) == 2
         assert cost.registers == quadratic_max_live(prog)
+
+
+class TestOps:
+    def test_ops_are_hashable(self):
+        ops = {Load("a", 0, 0, 0, "aligned"), Init("acc"), Store("acc", 0, 0, 0)}
+        assert Init("acc") in ops and len(ops) == 3
+
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            (Load("a", 0, 0, 0, "aligned"), "kind"),
+            (Shift("s", "a", "b", 1), "amount"),
+            (Init("acc"), "dst"),
+            (Add("s", "a", "b"), "a"),
+            (Mac("acc", "s", None), "src"),
+            (Store("acc", 0, 0, 0), "v"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, op, field):
+        with pytest.raises(AttributeError):
+            setattr(op, field, getattr(op, field))
+
+    def test_different_ops_compare_unequal(self):
+        assert Load("a", 0, 0, 0, "aligned") != Load("a", 0, 0, 0, "halo")
+        assert Shift("s", "a", "b", 1) != Store("s", 0, 0, 1)
+        assert Add("s", "a", "b") != Mac("s", "a", None)
+        assert Init("acc") != Store("acc", 0, 0, 0)

@@ -138,6 +138,12 @@ class TestErrorContract:
         with pytest.raises(ServeError, match="400"):
             client.submit({"stencils": ["1000000pt"]})
 
+    def test_boolean_domain_extent_is_400(self, service):
+        client, _ = service
+        doc = {"stencils": ["7pt"], "variants": ["array"], "domain": [True, 4, 4]}
+        with pytest.raises(ServeError, match=r"400.*domain"):
+            client.submit(doc)
+
     def test_unknown_option_is_400(self, service):
         client, _ = service
         for options in ({"priority": "high"}, {"dispatch": "serial"}):

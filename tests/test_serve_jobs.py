@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro import harness, obs
-from repro.errors import QueueFullError, ServeError
+from repro.errors import MetricError, QueueFullError, ServeError
 from repro.harness.experiments import ExperimentConfig, config_from_dict
 from repro.serve import (
     JOB_STATES,
@@ -451,3 +451,10 @@ class TestOrchestrator:
             Orchestrator(ResultStore(), workers=0)
         with pytest.raises(ServeError):
             Orchestrator(ResultStore(), batch_window=0)
+
+
+class TestConfigFromDict:
+    @pytest.mark.parametrize("domain", [[True, 4, 4], [4, False, 4], (4, 4, True)])
+    def test_boolean_extent_is_rejected(self, domain):
+        with pytest.raises(MetricError, match="domain"):
+            config_from_dict({"domain": domain})
