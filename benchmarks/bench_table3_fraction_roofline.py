@@ -16,12 +16,13 @@ Paper values for comparison (bricks codegen):
 from conftest import emit
 
 from repro import harness
+from repro.results.report import PAPER_OVERALL_P, PAPER_TABLE3
 
+#: The paper's per-stencil P column and overall P, as fractions.
 PAPER_P_COLUMN = {
-    "7pt": 0.77, "13pt": 0.73, "19pt": 0.69,
-    "25pt": 0.63, "27pt": 0.66, "125pt": 0.38,
+    name: row[-1] / 100 for name, row in PAPER_TABLE3.items()
 }
-PAPER_OVERALL = 0.61
+PAPER_OVERALL = PAPER_OVERALL_P[3] / 100
 
 
 def test_table3(benchmark, study):

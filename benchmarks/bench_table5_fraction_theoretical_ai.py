@@ -8,12 +8,13 @@ finite caches keep data movement within ~1.5x of an infinite cache.
 from conftest import emit
 
 from repro import harness
+from repro.results.report import PAPER_OVERALL_P, PAPER_TABLE5
 
+#: The paper's per-stencil P column and overall P, as fractions.
 PAPER_P_COLUMN = {
-    "7pt": 0.67, "13pt": 0.72, "19pt": 0.68,
-    "25pt": 0.65, "27pt": 0.71, "125pt": 0.67,
+    name: row[-1] / 100 for name, row in PAPER_TABLE5.items()
 }
-PAPER_OVERALL = 0.68
+PAPER_OVERALL = PAPER_OVERALL_P[5] / 100
 
 
 def test_table5(benchmark, study):

@@ -9,27 +9,12 @@ speed-up ratios, side by side with the paper's values.
 from __future__ import annotations
 
 from repro import dsl, gpu
-
-STENCILS = ("7pt", "13pt", "19pt", "25pt", "27pt", "125pt")
-
-PAPER_TABLE3 = {
-    # stencil: (A100 CUDA, A100 SYCL, MI250X HIP, MI250X SYCL, PVC SYCL)
-    "7pt": (95, 84, 66, 68, 77),
-    "13pt": (92, 79, 66, 67, 67),
-    "19pt": (85, 87, 65, 66, 53),
-    "25pt": (69, 79, 66, 64, 47),
-    "27pt": (82, 60, 66, 67, 61),
-    "125pt": (47, 39, 42, 63, 23),
-}
-
-PAPER_TABLE5 = {
-    "7pt": (92, 49, 62, 59, 93),
-    "13pt": (92, 88, 66, 48, 92),
-    "19pt": (91, 87, 60, 43, 91),
-    "25pt": (88, 81, 56, 41, 91),
-    "27pt": (93, 59, 67, 59, 92),
-    "125pt": (92, 89, 64, 38, 92),
-}
+from repro.results.report import (
+    PAPER_OVERALL_P,
+    PAPER_TABLE3,
+    PAPER_TABLE5,
+    STENCILS,
+)
 
 
 def roofline_fraction(res: gpu.SimulationResult) -> float:
@@ -61,7 +46,7 @@ def main() -> None:
     for name in STENCILS:
         s = dsl.by_name(name).build()
         row = []
-        for p, paper in zip(plats, PAPER_TABLE3[name]):
+        for p, paper in zip(plats, PAPER_TABLE3[name][:-1]):
             frac = roofline_fraction(results[(name, p.name, "bricks_codegen")])
             row.append(f"{100*frac:5.0f}/{paper:<3d}")
         print(f"{name:>7}" + "".join(f"{c:>18}" for c in row))
@@ -70,7 +55,7 @@ def main() -> None:
     for name in STENCILS:
         s = dsl.by_name(name).build()
         row = []
-        for p, paper in zip(plats, PAPER_TABLE5[name]):
+        for p, paper in zip(plats, PAPER_TABLE5[name][:-1]):
             frac = theoretical_ai_fraction(results[(name, p.name, "bricks_codegen")], s)
             row.append(f"{100*frac:5.0f}/{paper:<3d}")
         print(f"{name:>7}" + "".join(f"{c:>18}" for c in row))
@@ -141,8 +126,10 @@ def main() -> None:
         p5.append(pennycook(f5))
     overall3 = pennycook(p3)
     overall5 = pennycook(p5)
-    print(f"\nOverall P (Table 3): {100*overall3:.0f}%  (paper: 61%)")
-    print(f"Overall P (Table 5): {100*overall5:.0f}%  (paper: 68%)")
+    print(f"\nOverall P (Table 3): {100*overall3:.0f}%  "
+          f"(paper: {PAPER_OVERALL_P[3]}%)")
+    print(f"Overall P (Table 5): {100*overall5:.0f}%  "
+          f"(paper: {PAPER_OVERALL_P[5]}%)")
 
 
 if __name__ == "__main__":

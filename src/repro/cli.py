@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "metric",
         help="measurement name, e.g. span.run_study.total_s, "
-        "run.duration_s, gate.batch.points_per_s_90",
+        "run.duration_s, gate.batch.points_per_s_100k",
     )
     q.add_argument(
         "--window", type=int, default=obs.DEFAULT_WINDOW, metavar="N",

@@ -60,8 +60,8 @@ __all__ = [
 PROBE_ITEMS = 8
 
 #: Pool overhead model: fixed startup plus per-worker spawn/teardown.
-#: Calibrated from BENCH_sweep.json history (a 4-job pool over the
-#: 90-point study pays ~0.2 s before the first task runs).
+#: Calibrated on a 4-job pool over the 90-point study, which pays
+#: ~0.2 s before the first task runs.
 POOL_STARTUP_S = 0.08
 POOL_PER_WORKER_S = 0.03
 

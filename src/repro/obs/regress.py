@@ -92,7 +92,8 @@ class MetricSpec:
 
 #: What ``obs diff`` watches out of the box.  Span totals cover the
 #: pipeline's wall time, counters cover correctness-adjacent events
-#: (failures must not creep in), gates cover the bench_smoke numbers.
+#: (failures must not creep in), gates cover the bench_smoke numbers
+#: (a test checks that each ``gate.*`` spec names one bench_smoke writes).
 #: Tolerances are wide on purpose; see the module docstring.
 DEFAULT_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("span.run_study.total_s", "lower", 0.75, floor=0.05),
@@ -110,14 +111,8 @@ DEFAULT_SPECS: Tuple[MetricSpec, ...] = (
     # the 100k-point scale.
     MetricSpec("gate.batch.speedup_vs_serial", "higher", 0.5, floor=100.0),
     MetricSpec("gate.batch.points_per_s_100k", "higher", 0.5, floor=1000.0),
-    MetricSpec("gate.batch.points_per_s_90", "higher", 0.5, floor=50.0),
-    # Serving layer: request RTT through the service must not balloon
-    # (the cold path carries poll latency, hence the wide floor), dedup
-    # answers must stay near-free and complete, and job errors must not
-    # creep into a served session.
-    MetricSpec("gate.serve.rtt_p95_ms", "lower", 0.75, floor=250.0),
-    MetricSpec("gate.serve.dedup_rtt_p95_ms", "lower", 0.75, floor=50.0),
-    MetricSpec("gate.serve.dedup_hits", "equal", 0.0),
+    # Serving layer: request time through the service must not balloon,
+    # and job errors must not creep into a served session.
     MetricSpec("span.serve.request.total_s", "lower", 0.75, floor=0.1),
     MetricSpec("counter.serve.job_errors", "lower", 0.0),
     # Crash-safe serving: the chaos drill's deterministic sessions must

@@ -1,9 +1,9 @@
 """Persistent telemetry warehouse: every instrumented run, queryable.
 
-PR-1's tracer and registry are amnesiac — a process exits and its spans,
-counters, and bench numbers evaporate (or land in ad-hoc ``BENCH_*.json``
-files nothing reads back).  The :class:`TelemetryStore` gives the
-pipeline longitudinal memory: a schema-versioned SQLite database
+The tracer and registry are amnesiac — a process exits and its spans,
+counters, and bench numbers evaporate.  The :class:`TelemetryStore`
+gives the pipeline longitudinal memory, and it is the repo's only
+perf-history database: a schema-versioned SQLite database
 (stdlib ``sqlite3``, zero new dependencies) that every instrumented
 entrypoint appends one *run record* to:
 
@@ -15,8 +15,8 @@ entrypoint appends one *run record* to:
   :func:`~repro.obs.export.spans_from_dicts`;
 * **metrics** — the counter/gauge/histogram snapshot (histograms carry
   their p50/p95 summary);
-* **gates** — named bench-gate results (value + pass/fail), the rows
-  ``scripts/bench_smoke.py`` used to dump into JSON.
+* **gates** — named bench-gate results (value + pass/fail), e.g. the
+  cachesim and batch gates ``scripts/bench_smoke.py`` records.
 
 On top of this sit the regression detector (:mod:`repro.obs.regress`),
 the span profiler (:mod:`repro.obs.profile`), and the CLI's

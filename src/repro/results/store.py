@@ -30,10 +30,13 @@ Tables:
   :class:`~repro.codegen.cost.ProgramCost` field (floats round-trip
   exactly through SQLite REAL, which is IEEE-754 double);
 * **failures** — the study's :class:`~repro.harness.experiments.FailedPoint`
-  entries, so a degraded sweep reconstructs degraded;
-* **bench_runs** / **bench_gates** — ``scripts/bench_smoke.py`` gate
-  values as rows (the numbers ``BENCH_*.json`` holds), so perf history
-  lives in the same store the report generator reads.
+  entries, so a degraded sweep reconstructs degraded.
+
+Study results only: perf history (bench gate values, spans, counters)
+lives in the telemetry warehouse, :mod:`repro.obs.store`.  A file from
+an older library that also holds the former bench-gate tables still
+opens: the open checks only that the tables above exist, and the extra
+ones are never read.
 
 Column affinities for the flat row view derive from the shared
 :data:`~repro.harness.reporting.FIELD_TYPES` map — the same map the CSV
@@ -85,6 +88,8 @@ __all__ = [
 
 #: Version of the result-store schema.  Bump whenever a table or column
 #: changes meaning; old databases are rejected, never silently migrated.
+#: Dropping a table needs no bump: opening checks only that the tables
+#: declared here exist, so a file that keeps a dropped one still reads.
 RESULTS_SCHEMA_VERSION = 1
 
 #: Environment variable supplying a database path when no explicit one
@@ -161,22 +166,8 @@ CREATE TABLE IF NOT EXISTS failures (
     timed_out  INTEGER NOT NULL,
     PRIMARY KEY (study_id, stencil, platform, variant)
 );
-CREATE TABLE IF NOT EXISTS bench_runs (
-    bench_id    INTEGER PRIMARY KEY AUTOINCREMENT,
-    source      TEXT NOT NULL,
-    git_rev     TEXT NOT NULL,
-    created_utc TEXT NOT NULL,
-    doc         TEXT
-);
-CREATE TABLE IF NOT EXISTS bench_gates (
-    bench_id INTEGER NOT NULL REFERENCES bench_runs(bench_id),
-    name     TEXT NOT NULL,
-    value    REAL NOT NULL,
-    passed   INTEGER NOT NULL
-);
 CREATE INDEX IF NOT EXISTS idx_points_study ON points (study_id);
 CREATE INDEX IF NOT EXISTS idx_failures_study ON failures (study_id);
-CREATE INDEX IF NOT EXISTS idx_bench_gates_name ON bench_gates (name, bench_id);
 """
 
 
@@ -236,9 +227,6 @@ class IngestOutcome:
     failures: int
     dedup: bool
     replaced: bool
-
-
-GateSpec = Union[Tuple[float, bool], float]
 
 
 class ResultsStore:
@@ -454,49 +442,6 @@ class ResultsStore:
                 rows,
             )
 
-    def ingest_gates(
-        self,
-        gates: Mapping[str, GateSpec],
-        source: str = "bench_smoke",
-        doc: Optional[Mapping[str, Any]] = None,
-        git_rev: Optional[str] = None,
-    ) -> int:
-        """Append one bench run's gate values; returns its ``bench_id``.
-
-        ``gates`` maps gate name to ``(value, passed)`` (or a bare
-        value, recorded as passed) — the exact shape
-        ``scripts/bench_smoke.py`` builds for the telemetry warehouse.
-        ``doc`` optionally archives the full benchmark record JSON.
-        """
-        if git_rev is None:
-            git_rev = git_state()[0]
-        with self._transaction():
-            cur = self._conn.execute(
-                "INSERT INTO bench_runs (source, git_rev, created_utc, doc) "
-                "VALUES (?, ?, ?, ?)",
-                (
-                    source, git_rev, _utc_now(),
-                    json.dumps(doc, sort_keys=True, default=str)
-                    if doc is not None else None,
-                ),
-            )
-            bench_id = int(cur.lastrowid or 0)
-            rows = []
-            for name, spec in gates.items():
-                if isinstance(spec, tuple):
-                    value, passed = spec
-                else:
-                    value, passed = spec, True
-                rows.append((bench_id, name, float(value), int(bool(passed))))
-            if rows:
-                self._conn.executemany(
-                    "INSERT INTO bench_gates (bench_id, name, value, passed) "
-                    "VALUES (?, ?, ?, ?)",
-                    rows,
-                )
-        counter("results.bench_ingests").inc()
-        return bench_id
-
     # ---- querying ----------------------------------------------------------
     def _study_from_row(self, row: sqlite3.Row) -> StudyRecord:
         domain = json.loads(row["domain"])
@@ -635,31 +580,6 @@ class ResultsStore:
                     name, row[name], target,
                 )
         return rows
-
-    # ---- bench queries -----------------------------------------------------
-    def gate_names(self) -> List[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT name FROM bench_gates ORDER BY name"
-        ).fetchall()
-        return [r["name"] for r in rows]
-
-    def gate_history(
-        self, name: str, limit: Optional[int] = None
-    ) -> List[Tuple[int, str, float, bool]]:
-        """(bench_id, created_utc, value, passed) series, oldest first."""
-        rows = self._conn.execute(
-            "SELECT g.bench_id, r.created_utc, g.value, g.passed "
-            "FROM bench_gates g JOIN bench_runs r "
-            "ON g.bench_id = r.bench_id WHERE g.name = ? ORDER BY g.bench_id",
-            (name,),
-        ).fetchall()
-        out = [
-            (r["bench_id"], r["created_utc"], r["value"], bool(r["passed"]))
-            for r in rows
-        ]
-        if limit is not None:
-            out = out[-limit:]
-        return out
 
 
 def _platform_catalogue(config: ExperimentConfig) -> Dict[str, Platform]:

@@ -1,5 +1,8 @@
 """Tests for the cross-run regression detector (repro.obs.regress)."""
 
+import importlib.util
+import os
+
 import pytest
 
 from repro import obs
@@ -22,6 +25,27 @@ def record_run(store, *, duration=1.0, gates=None, counters=None):
         git_rev="deadbeef",
         git_dirty=False,
     )
+
+
+@pytest.fixture(scope="module")
+def bench_smoke():
+    """``scripts/bench_smoke.py`` as a module (scripts are no package)."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "scripts", "bench_smoke.py",
+    )
+    spec = importlib.util.spec_from_file_location("bench_smoke", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+#: A bench_smoke record with every leg: the shape each gate writes.
+FULL_DOC = {
+    "cachesim": {"speedup": 12.5, "vectorized_accesses_per_s": 3e7},
+    "batch": {"points_per_s_100k": 5e5, "speedup_vs_serial": 150.0},
+    "chaos": {"retries": 11, "failed_points": 0},
+}
 
 
 @pytest.fixture
@@ -172,7 +196,47 @@ class TestDiffRun:
         assert not report.ok
         assert report.entries[0].baseline_median == pytest.approx(1.0)
 
-    def test_default_specs_cover_the_bench_gates(self):
+    def test_default_specs_cover_the_bench_gates(self, bench_smoke):
         names = {s.name for s in obs.DEFAULT_SPECS}
         assert {"run.duration_s", "gate.batch.speedup_vs_serial",
                 "gate.cachesim.speedup", "span.simulate.total_s"} <= names
+        # And the other way round: a gate spec nothing produces any more
+        # would only ever report "skipped".
+        produced = {
+            f"gate.{name}" for name in bench_smoke._gate_results(FULL_DOC)
+        }
+        specced = {name for name in names if name.startswith("gate.")}
+        assert specced <= produced, sorted(specced - produced)
+
+
+class TestBenchSmokeRecord:
+    def test_gate_pass_flags_keep_the_hard_floors(self, bench_smoke):
+        gates = bench_smoke._gate_results(FULL_DOC)
+        assert all(passed for _, passed in gates.values())
+        assert gates["batch.points_per_s_100k"] == (5e5, True)
+
+        def passed(leg, name, value):
+            doc = {leg: dict(FULL_DOC[leg], **{name: value})}
+            return bench_smoke._gate_results(doc)[f"{leg}.{name}"][1]
+
+        assert passed("cachesim", "speedup", 5.0)
+        assert not passed("cachesim", "speedup", 4.9)
+        assert passed("batch", "speedup_vs_serial", 100.0)
+        assert not passed("batch", "speedup_vs_serial", 99.9)
+        assert not passed("chaos", "failed_points", 1)
+
+    def test_config_hash_follows_the_arguments(self, bench_smoke, tmp_path):
+        db = str(tmp_path / "t.db")
+        for argv in (["--jobs", "2"], ["--jobs", "2"], ["--jobs", "4"],
+                     ["--jobs", "2", "--inject-faults", "0"]):
+            bench_smoke.record_telemetry(
+                db, {}, [], 1.0, bench_smoke.parse_args(argv)
+            )
+        with obs.TelemetryStore(db, create=False) as store:
+            hashes = [run.config_hash for run in store.runs()]
+        assert hashes[0] == hashes[1]
+        assert len(set(hashes[1:])) == 3
+        # Output paths do not change what runs.
+        assert bench_smoke.config_hash(
+            bench_smoke.parse_args(["--jobs", "2", "--telemetry-db", "x.db"])
+        ) == hashes[0]

@@ -1,6 +1,7 @@
 """Tests for the tracing + metrics core (repro.obs.trace / .metrics)."""
 
 import threading
+import time
 
 import pytest
 
@@ -121,6 +122,20 @@ class TestDisabledTracer:
             with tracer.span("hot"):
                 pass
         assert tracer.span_count() == 0
+
+    def test_disabled_tracer_overhead_guard(self):
+        # Span call sites must stay near-free when tracing is off.
+        prev = obs.get_tracer()
+        obs.set_tracer(obs.Tracer(enabled=False))
+        try:
+            t0 = time.perf_counter()
+            for _ in range(100_000):
+                with obs.span("hot", a=1):
+                    pass
+            elapsed = time.perf_counter() - t0
+        finally:
+            obs.set_tracer(prev)
+        assert elapsed <= 2.0, f"{elapsed:.2f}s per 100k disabled spans"
 
     def test_global_default_is_disabled(self):
         # The library must not trace unless something opts in.

@@ -1,6 +1,5 @@
 """Tests for the SQLite result store, providers, and report generation."""
 
-import json
 import os
 import sqlite3
 
@@ -158,28 +157,87 @@ class TestStoreBasics:
         assert resolve_results_db("x.db") == "x.db"
 
 
-class TestBenchGates:
-    def test_gate_ingest_and_history(self, tmp_path):
-        db = str(tmp_path / "r.db")
-        with ResultsStore(db) as store:
-            b1 = store.ingest_gates(
-                {"sweep.speedup": (2.0, True), "sweep.points_per_s": 150.0},
-                doc={"schema_version": 1},
-            )
-            b2 = store.ingest_gates({"sweep.speedup": (1.5, False)})
-            assert b2 > b1
-            assert store.gate_names() == ["sweep.points_per_s", "sweep.speedup"]
-            history = store.gate_history("sweep.speedup")
-        assert [(v, p) for _, _, v, p in history] == [(2.0, True), (1.5, False)]
+#: The bench-gate tables result stores carried before perf history moved
+#: to the telemetry warehouse, verbatim as those stores declared them.
+LEGACY_BENCH_TABLES = """
+CREATE TABLE IF NOT EXISTS bench_runs (
+    bench_id    INTEGER PRIMARY KEY AUTOINCREMENT,
+    source      TEXT NOT NULL,
+    git_rev     TEXT NOT NULL,
+    created_utc TEXT NOT NULL,
+    doc         TEXT
+);
+CREATE TABLE IF NOT EXISTS bench_gates (
+    bench_id INTEGER NOT NULL REFERENCES bench_runs(bench_id),
+    name     TEXT NOT NULL,
+    value    REAL NOT NULL,
+    passed   INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_bench_gates_name ON bench_gates (name, bench_id);
+"""
 
-    def test_gate_history_limit(self, tmp_path):
-        db = str(tmp_path / "r.db")
-        with ResultsStore(db) as store:
-            for i in range(4):
-                store.ingest_gates({"g": (float(i), True)})
-            assert [v for _, _, v, _ in store.gate_history("g", limit=2)] == [
-                2.0, 3.0,
-            ]
+
+def tables(db):
+    conn = sqlite3.connect(db)
+    try:
+        return {
+            row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+    finally:
+        conn.close()
+
+
+class TestLegacyBenchTables:
+    @pytest.fixture
+    def legacy_db(self, tmp_path):
+        """A version-1 store that still holds the bench tables and a row."""
+        db = str(tmp_path / "legacy.db")
+        ResultsStore(db).close()
+        conn = sqlite3.connect(db)
+        conn.executescript(LEGACY_BENCH_TABLES)
+        assert conn.execute("PRAGMA user_version").fetchone() == (
+            RESULTS_SCHEMA_VERSION,
+        )
+        conn.execute(
+            "INSERT INTO bench_runs (source, git_rev, created_utc, doc) "
+            "VALUES ('bench_smoke', 'abc', '2026-01-01T00:00:00+00:00', '{}')"
+        )
+        conn.execute(
+            "INSERT INTO bench_gates VALUES (1, 'cachesim.speedup', 12.5, 1)"
+        )
+        conn.commit()
+        conn.close()
+        return db
+
+    def test_fresh_store_has_no_bench_tables(self, tmp_path):
+        db = str(tmp_path / "fresh.db")
+        ResultsStore(db).close()
+        assert tables(db) == {"studies", "points", "failures", "sqlite_sequence"}
+
+    def test_legacy_file_opens_dedups_and_renders_like_fresh(
+        self, legacy_db, two_study, tmp_path
+    ):
+        fresh_db = str(tmp_path / "fresh.db")
+        for db in (legacy_db, fresh_db):
+            with ResultsStore(db) as store:
+                first = store.ingest_study(two_study)
+                second = store.ingest_study(two_study)
+            assert not first.dedup and second.dedup
+            assert second.study_id == first.study_id
+        with ResultsStore(legacy_db, create=False) as store:
+            legacy = store.load_study(TWO)
+        with ResultsStore(fresh_db, create=False) as store:
+            fresh = store.load_study(TWO)
+        assert study_to_dict(legacy) == study_to_dict(fresh)
+        assert generate_report(StoreProvider(legacy_db, config=TWO)) == (
+            generate_report(StoreProvider(fresh_db, config=TWO))
+        )
+        # The old rows are neither read nor touched.
+        conn = sqlite3.connect(legacy_db)
+        assert conn.execute("SELECT COUNT(*) FROM bench_gates").fetchone() == (1,)
+        conn.close()
 
 
 class TestProviders:
@@ -368,36 +426,3 @@ class TestCli:
         capsys.readouterr()
         conn = sqlite3.connect(db)
         assert conn.execute("SELECT COUNT(*) FROM studies").fetchone()[0] == 1
-
-    def test_bench_smoke_gate_ingest(self, tmp_path):
-        # Exercise record_results directly (the full gate run is the CI
-        # perf job's business, not a unit test's).
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_smoke",
-            os.path.join(
-                os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                "scripts", "bench_smoke.py",
-            ),
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        db = str(tmp_path / "r.db")
-        failures = []
-        doc = {
-            "schema_version": 1,
-            "sweep": {"jobs": 2, "serial_points_per_s": 50.0},
-            "cachesim": {"speedup": 12.5, "vectorized_accesses_per_s": 3e7},
-        }
-        mod.record_results(db, doc, failures)
-        assert failures == []
-        with ResultsStore(db, create=False) as store:
-            history = store.gate_history("cachesim.speedup")
-            assert len(history) == 1 and history[0][2] == 12.5
-            names = store.gate_names()
-        assert "sweep.serial_points_per_s" in names
-        # The full benchmark record is archived alongside the gates.
-        conn = sqlite3.connect(db)
-        (doc_json,) = conn.execute("SELECT doc FROM bench_runs").fetchone()
-        assert json.loads(doc_json)["schema_version"] == 1
