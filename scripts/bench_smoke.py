@@ -4,7 +4,7 @@
 1. **cachesim** — the vectorized :meth:`CacheSim.access_array` must
    match the scalar oracle on a ~1M-access stencil trace and beat it
    by >= 5x (target 10x).
-2. **batch** — ``run_study(parallel=jobs)`` must equal a scalar
+2. **batch** — ``run_study()`` must equal a scalar
    ``simulate()`` loop over the 90-point study, results and counters;
    a cold ~100k-point ``simulate_batch`` must beat a scalar probe by
    >= 100x and match it on every probed point.
@@ -142,11 +142,11 @@ def cachesim_bench(failures: list, doc: dict) -> None:
         )
 
 
-def _cold_study(parallel: int, **kw) -> harness.StudyResults:
+def _cold_study(**kw) -> harness.StudyResults:
     """One cold full sweep (memo + codegen memo cleared)."""
     harness.clear_study_cache()
     clear_codegen_memo()
-    return harness.run_study(parallel=parallel, **kw)
+    return harness.run_study(**kw)
 
 
 def _batch_matrix() -> list:
@@ -180,7 +180,7 @@ def _batch_matrix() -> list:
     ]
 
 
-def batch_bench(failures: list, doc: dict, jobs: int) -> None:
+def batch_bench(failures: list, doc: dict) -> None:
     """Gate 2: the batch engine vs scalar simulate(), 90 and ~100k points."""
     # (a): scalar oracle loop vs the study, results + counters.
     config = harness.ExperimentConfig()
@@ -197,7 +197,7 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
 
     clear_codegen_memo()
     oracle, oracle_deltas = _counted(oracle_loop)
-    study, study_deltas = _counted(_cold_study, parallel=jobs)
+    study, study_deltas = _counted(_cold_study)
     harness.clear_study_cache()
 
     if study.results != oracle or list(study.results) != list(oracle):
@@ -257,9 +257,7 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
     )
 
 
-def chaos_bench(
-    failures: list, doc: dict, jobs: int, seed: int, trace_out: str
-) -> None:
+def chaos_bench(failures: list, doc: dict, seed: int, trace_out: str) -> None:
     """Gate 3: the sweep under injected transient faults must recover.
 
     The retry counters must account for every injected fault.
@@ -271,14 +269,12 @@ def chaos_bench(
     )
     policy = RetryPolicy(retries=3, backoff_s=0.01)
 
-    clean_study = _cold_study(parallel=1)
+    clean_study = _cold_study()
 
     retries_counter = obs.get_registry().counter("exec.retries")
     retries_before = retries_counter.value
     roots_before = len(obs.get_tracer().roots())
-    chaotic_study = _cold_study(
-        parallel=jobs, policy=policy, fault_plan=plan
-    )
+    chaotic_study = _cold_study(policy=policy, fault_plan=plan)
     harness.clear_study_cache()
     retries = retries_counter.value - retries_before
 
@@ -331,7 +327,7 @@ def _gate_results(doc: dict) -> dict:
 def config_hash(args: argparse.Namespace) -> str:
     """Baseline identity of a run: the arguments that decide what runs,
     so a leg that crashes before recording keeps its baseline."""
-    config = {"jobs": args.jobs, "inject_faults": args.inject_faults}
+    config = {"inject_faults": args.inject_faults}
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -384,11 +380,6 @@ def _run_gate(name: str, failures: list, fn, *args) -> None:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker processes for the study's fault-injected points in "
-        "the batch and chaos gates (default 4)",
-    )
-    parser.add_argument(
         "--inject-faults", nargs="?", const=0, type=int, default=None,
         metavar="SEED",
         help="also run the chaos gate: sweep under seeded transient "
@@ -410,8 +401,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
 
-    # Every simulate() in the gates asserts repro.validate's invariants
-    # (exported, so worker processes inherit it).
+    # Every simulate() in the gates asserts repro.validate's invariants.
     os.environ.setdefault("REPRO_VALIDATE", "1")
 
     # Trace the whole run so a crash anywhere can show its span tree.
@@ -423,10 +413,10 @@ def main(argv=None) -> int:
     t_start = time.perf_counter()
 
     _run_gate("cachesim", failures, cachesim_bench, doc)
-    _run_gate("batch", failures, batch_bench, doc, args.jobs)
+    _run_gate("batch", failures, batch_bench, doc)
     if args.inject_faults is not None:
         _run_gate(
-            "chaos", failures, chaos_bench, doc, args.jobs,
+            "chaos", failures, chaos_bench, doc,
             args.inject_faults, args.trace_out,
         )
 

@@ -87,7 +87,6 @@ def boot_server(*extra: str) -> tuple:
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
-    env.pop("REPRO_JOBS", None)
     env.pop("REPRO_CACHE_DIR", None)
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,

@@ -93,7 +93,6 @@ def boot_server(telemetry_db: str, trace_out: str | None) -> tuple:
         argv += ["--trace", trace_out, "--trace-format", "chrome"]
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
-    env.pop("REPRO_JOBS", None)  # deterministic in-process sweeps
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env,

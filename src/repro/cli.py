@@ -42,9 +42,7 @@ artifact (Tables 2–5, Figure 3–7 series, EXPERIMENTS.md, drift vs the
 golden baseline); with ``--results-db`` it renders from the store's
 reconstruction, byte-identical to the direct path.
 
-Sweeps accept ``--jobs N`` (worker processes for fault-injected points;
-``$REPRO_JOBS`` supplies a default, 0 means one per CPU) and the
-sweep-rendering commands accept ``--cache-dir [DIR]`` to persist and
+The sweep-rendering commands accept ``--cache-dir [DIR]`` to persist and
 reuse study results across invocations in a SQLite result database,
 ``DIR/studies.db``, whose incomplete study rows double as checkpoints
 (``$REPRO_CACHE_DIR`` supplies a default directory).
@@ -53,9 +51,11 @@ Fault tolerance (see :mod:`repro.resilience`): ``--retries N`` and
 ``--task-timeout SECONDS`` configure the retry policy, ``--resume``
 continues an interrupted or partially-failed sweep from its checkpoint
 without re-simulating completed points, and ``--inject-faults [SEED]``
-deterministically injects transient faults for chaos testing.  A sweep
-with permanently failed points still renders (gaps + footnote) and
-``study`` exits with status 3 so scripts notice the degradation.
+deterministically injects transient faults for chaos testing (the
+faulted points run in-process, one at a time, under the retry
+policy).  A sweep with permanently failed points still renders (gaps +
+footnote) and ``study`` exits with status 3 so scripts notice the
+degradation.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def _cached_study(args):
             os.environ.get(harness.CACHE_DIR_ENV) or harness.default_cache_dir()
         )
     return harness.cached_study(
-        parallel=args.jobs,
         cache_dir=cache_dir,
         retry_policy=_retry_policy(args),
         fault_plan=_fault_plan(args),
@@ -376,7 +375,7 @@ def _config_hash(args: argparse.Namespace) -> str:
 
     The warehouse groups baseline runs by this hash, so two runs compare
     only when every knob that could move the numbers (subcommand inputs,
-    job count, cache/retry/fault settings) is identical.
+    cache/retry/fault settings) is identical.
     """
     payload = {
         k: v
@@ -540,7 +539,6 @@ def _serve(args) -> int:
         queue_limit=args.queue_limit,
         workers=args.workers,
         batch_window=args.batch_window,
-        jobs=args.jobs,
         journal=args.journal,
         backend=args.backend,
         job_deadline_s=args.job_deadline,
@@ -705,11 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--trace-format", default="jsonl", choices=obs.TRACE_FORMATS,
         help="trace export format (chrome loads in chrome://tracing)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for a sweep's fault-injected points "
-        "(default: $REPRO_JOBS or serial; 0 = one per CPU)",
     )
     common.add_argument(
         "--cache-dir", nargs="?", const=harness.default_cache_dir(),

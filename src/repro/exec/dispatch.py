@@ -1,4 +1,4 @@
-"""Study-point evaluation and the process pool's break-even model.
+"""Study-point evaluation: the batch engine and the retry-policy map.
 
 Every analytic study point runs through one engine,
 :func:`repro.gpu.simulate_batch`: one codegen/cost evaluation per
@@ -11,127 +11,96 @@ it for study items:
 * :func:`microbatch_study_points` — several tenants' point lists fused
   into one batch call (the serving layer's micro-batching primitive).
 
-Points carrying an injected fault go through the scalar
-:func:`repro.exec.parallel_map` instead, under the retry policy — and
-only there does the process pool come in.  Its break-even model:
-
-    overhead(jobs)  =  POOL_STARTUP_S + POOL_PER_WORKER_S * jobs
-    gain            =  1 - 1 / min(jobs, cpus)
-    break_even_n    =  overhead(jobs) / (per_item_cost * gain)
-
-A pool run only pays off past ``break_even_n`` items; below it (and
-always on a single-CPU box, where ``gain = 0`` makes the break-even
-infinite) ``parallel_map`` falls back to the serial loop.  Per-item
-cost comes from an EWMA over *measured* serial runs (recorded by
-``parallel_map`` itself, keyed by function identity) — when no
-measurement exists yet, ``parallel_map`` probes the first few items
-serially and decides with live numbers.
-
-The model is observable: ``exec.dispatch.serial_fallback`` counts pool
-demotions, and the ``exec.dispatch.break_even_n`` /
-``exec.dispatch.item_cost_s`` gauges expose the live numbers.
+Points carrying an injected fault go through :func:`parallel_map`
+instead: an in-process loop that runs each item under the retry
+policy, in input order.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.obs import counter, gauge, span
+from repro.errors import TaskTimeoutError
+from repro.obs import counter, span
+from repro.resilience.policy import (
+    DEFAULT_POLICY,
+    RetryPolicy,
+    TaskFailure,
+    run_with_policy,
+)
 
 if TYPE_CHECKING:
     from repro.gpu.batch import BatchResults, Outcome
 
 __all__ = [
-    "POOL_PER_WORKER_S",
-    "POOL_STARTUP_S",
-    "PROBE_ITEMS",
-    "break_even_points",
-    "clear_cost_model",
     "map_study_points",
     "microbatch_study_points",
-    "observed_cost",
-    "record_cost",
+    "parallel_map",
 ]
 
-#: Serial probe size when the cost model has no estimate for a function.
-PROBE_ITEMS = 8
-
-#: Pool overhead model: fixed startup plus per-worker spawn/teardown.
-#: Calibrated on a 4-job pool over the 90-point study, which pays
-#: ~0.2 s before the first task runs.
-POOL_STARTUP_S = 0.08
-POOL_PER_WORKER_S = 0.03
-
-#: EWMA smoothing for the measured per-item cost model.
-_EWMA_ALPHA = 0.5
-
-_COST_MODEL: Dict[str, float] = {}
+T = TypeVar("T")
+R = TypeVar("R")
 
 
-def _fn_key(fn: Callable[..., Any]) -> str:
-    """Stable identity for the cost model: module-qualified name.
+def _run_one(
+    fn: Callable[[T], R],
+    item: T,
+    policy: Optional[RetryPolicy],
+    capture: bool,
+) -> "R | TaskFailure":
+    """Run one task, optionally under a retry policy.
 
-    ``functools.partial`` and wrapper objects resolve to the underlying
-    function so a partial or a fault-plan wrapper shares history with
-    direct calls.
+    With neither a policy nor failure capture, this is a plain call.
+    Otherwise the task runs through :func:`run_with_policy`; when
+    ``capture`` is set, a permanently failed task degrades into a
+    :class:`TaskFailure` record instead of raising
+    (``KeyboardInterrupt``/``SystemExit`` still propagate, so a user
+    abort is never swallowed).
     """
-    while isinstance(fn, functools.partial):
-        fn = fn.func
-    inner = getattr(fn, "fn", None)
-    if callable(inner):  # FaultyFunction-style wrappers
-        fn = inner
-    module = getattr(fn, "__module__", type(fn).__module__)
-    qualname = getattr(fn, "__qualname__", type(fn).__qualname__)
-    return f"{module}.{qualname}"
+    if policy is None and not capture:
+        return fn(item)
+    try:
+        return run_with_policy(fn, item, policy or DEFAULT_POLICY)
+    except Exception as exc:
+        if not capture:
+            raise
+        return TaskFailure(
+            error_type=type(exc).__name__,
+            message=str(exc),
+            attempts=getattr(exc, "attempts", 1),
+            timed_out=isinstance(exc, TaskTimeoutError),
+        )
 
 
-def observed_cost(fn: Callable[..., Any]) -> Optional[float]:
-    """EWMA seconds-per-item for ``fn``, or ``None`` if never measured."""
-    return _COST_MODEL.get(_fn_key(fn))
+def parallel_map(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    *,
+    policy: Optional[RetryPolicy] = None,
+    capture_failures: bool = False,
+    on_result: Optional[Callable[[int, Any], None]] = None,
+) -> List[Any]:
+    """Map ``fn`` over ``items`` in-process, returning results in order.
 
+    Fault tolerance (see :mod:`repro.resilience`):
 
-def record_cost(fn: Callable[..., Any], per_item_s: float) -> None:
-    """Fold one measured serial run into the per-item cost model."""
-    if per_item_s < 0:
-        return
-    key = _fn_key(fn)
-    previous = _COST_MODEL.get(key)
-    value = (
-        per_item_s
-        if previous is None
-        else _EWMA_ALPHA * per_item_s + (1.0 - _EWMA_ALPHA) * previous
-    )
-    _COST_MODEL[key] = value
-    gauge("exec.dispatch.item_cost_s").set(value)
+    * ``policy`` runs every task through retry/backoff/timeout handling;
+    * ``capture_failures`` degrades a permanently failed task into a
+      :class:`~repro.resilience.TaskFailure` list entry instead of
+      raising, so one bad task cannot discard the rest of the map;
+    * ``on_result`` is called as ``(index, result)`` in input order as
+      each task finishes — the checkpoint hook.
 
-
-def clear_cost_model() -> None:
-    """Drop all measured costs (tests and long-lived processes)."""
-    _COST_MODEL.clear()
-
-
-def pool_overhead_s(jobs: int) -> float:
-    """Modelled fixed cost of standing up a ``jobs``-worker pool."""
-    return POOL_STARTUP_S + POOL_PER_WORKER_S * jobs
-
-
-def break_even_points(
-    per_item_s: float, jobs: int, cpus: Optional[int] = None
-) -> float:
-    """Items beyond which a pool beats the serial loop.
-
-    ``inf`` when parallelism cannot pay for itself at all: one
-    effective worker (``min(jobs, cpus) <= 1``) or free items.
+    Without those options, exceptions raised by ``fn`` propagate
+    unchanged.
     """
-    cpus = cpus if cpus is not None else (os.cpu_count() or 1)
-    effective = min(jobs, cpus)
-    if effective <= 1 or per_item_s <= 0:
-        return math.inf
-    gain = 1.0 - 1.0 / effective
-    return pool_overhead_s(jobs) / (per_item_s * gain)
+    results: List[Any] = []
+    for i, item in enumerate(items):
+        result = _run_one(fn, item, policy, capture_failures)
+        results.append(result)
+        if on_result is not None:
+            on_result(i, result)
+    return results
 
 
 def map_study_points(
@@ -151,8 +120,8 @@ def map_study_points(
     policy applies: the batch is deterministic pure math, and its
     failure records match what the policy would produce for the same
     deterministic error.  Callers
-    route points carrying injected faults through the scalar
-    :func:`repro.exec.parallel_map` instead.
+    route points carrying injected faults through
+    :func:`parallel_map` instead.
     """
     from repro.gpu.batch import BatchPoint, simulate_batch
 

@@ -1,15 +1,11 @@
-"""Module-level worker functions for the process-pool engine.
+"""The per-point function behind a study's fault-injected points.
 
-Pool tasks are pickled by reference, so the function the sweep maps
-over fault-injected points must live at module scope.  Each worker
-opens the same ``study.point`` span the serial loop does, so a parallel
-run's adopted trace is indistinguishable from a serial one.
-
-Work items carry the actual :class:`~repro.dsl.stencil.Stencil` and
-:class:`~repro.gpu.progmodel.Platform` objects (both are small frozen
-dataclasses that pickle in well under 2 KB), so workers never have to
-rebuild state from names and serial/parallel runs simulate *the same*
-inputs.
+:func:`simulate_point` wraps one scalar
+:func:`~repro.gpu.simulator.simulate` call in a ``study.point`` span;
+:func:`repro.exec.parallel_map` runs it under the retry policy.  Work
+items carry the actual :class:`~repro.dsl.stencil.Stencil` and
+:class:`~repro.gpu.progmodel.Platform` objects, so the scalar path
+simulates exactly the inputs the batch engine would.
 """
 
 from __future__ import annotations
@@ -37,20 +33,20 @@ StudyItem = Tuple[str, Stencil, Platform, str, Tuple[int, int, int]]
 def study_item_key(item: StudyItem) -> Tuple[str, str, str]:
     """The stable (stencil, platform, variant) identity of one item.
 
-    Used as the checkpoint/result key and as the fault-plan key — its
-    ``repr`` is stable across processes, unlike the item itself (which
-    carries full ``Stencil``/``Platform`` objects).
+    Used as the checkpoint/result key and as the fault-plan key — a
+    tuple of strings with a stable ``repr``, unlike the item itself
+    (which carries full ``Stencil``/``Platform`` objects).
     """
     name, _, platform, variant, _ = item
     return (name, platform.name, variant)
 
 
 def validate_simulation(result: Any) -> bool:
-    """Reject corrupted worker payloads before they enter a study.
+    """Reject corrupted results before they enter a study.
 
     A healthy result is a :class:`SimulationResult` with a finite,
-    positive sweep time; anything else (a poisoned pickle, NaN timing)
-    is treated as a transient failure and retried.
+    positive sweep time; anything else (an injected corrupt payload,
+    NaN timing) is treated as a transient failure and retried.
     """
     return (
         isinstance(result, SimulationResult)

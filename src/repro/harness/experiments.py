@@ -24,13 +24,17 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
-from repro.errors import MetricError, ResultStoreError, SimulationError
+from repro.errors import (
+    ExecutionError,
+    MetricError,
+    ResultStoreError,
+    SimulationError,
+)
 from repro.exec import (
     RetryPolicy,
     TaskFailure,
     map_study_points,
     parallel_map,
-    resolve_jobs,
     simulate_point,
     study_item_key,
     validate_simulation,
@@ -282,6 +286,15 @@ def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
     return cache_dir
 
 
+def _check_parallel(parallel: Optional[int]) -> None:
+    """Reject a worker-process count: every point runs in-process."""
+    if parallel not in (None, 1):
+        raise ExecutionError(
+            f"parallel={parallel!r}: worker processes were removed and "
+            f"every point runs in-process; pass None or 1"
+        )
+
+
 def run_study(
     config: ExperimentConfig | None = None,
     parallel: Optional[int] = None,
@@ -301,11 +314,9 @@ def run_study(
     scalar :func:`~repro.gpu.simulator.simulate` path and traces a
     ``sweep.batch`` span with per-chunk children.  Points carrying a
     ``fault_plan`` entry run afterwards through the scalar engine,
-    :func:`repro.exec.parallel_map`, under the retry policy; they trace
-    per-point ``study.point`` spans.  ``parallel`` is the worker-process
-    count for those points (``None`` consults ``$REPRO_JOBS``; ``<= 1``
-    runs them serially in-process; ``0`` means one worker per CPU).
-    Results and counters are identical at any job count.
+    :func:`repro.exec.parallel_map`, in-process under the retry policy;
+    they trace per-point ``study.point`` spans.  ``parallel`` accepts
+    only ``None`` or ``1``: there are no worker processes.
 
     Fault tolerance:
 
@@ -331,6 +342,7 @@ def run_study(
     """
     from repro.harness import serialization
 
+    _check_parallel(parallel)
     config = config or ExperimentConfig()
     study = StudyResults(config=config)
     platforms = config.platforms()  # hoisted: one catalogue per sweep
@@ -366,7 +378,6 @@ def run_study(
     pending = [it for it in items if study_item_key(it) not in done]
     pending_keys = [study_item_key(it) for it in pending]
     policy = (policy or RetryPolicy()).with_validate(validate_simulation)
-    jobs = resolve_jobs(parallel)
     # Fault-injected points need the scalar retry path; the rest batch.
     faulty = [
         i for i, key in enumerate(pending_keys)
@@ -408,12 +419,7 @@ def run_study(
 
         return on_result
 
-    with span(
-        "run_study",
-        points=len(items),
-        jobs=jobs,
-        resumed=len(done),
-    ) as sp:
+    with span("run_study", points=len(items), resumed=len(done)) as sp:
         study.results.update(done)
         if clean:
             map_study_points(
@@ -423,7 +429,6 @@ def run_study(
             parallel_map(
                 fault_plan.wrap(simulate_point, key_fn=study_item_key),
                 [pending[i] for i in faulty],
-                jobs=jobs,
                 policy=policy,
                 capture_failures=True,
                 on_result=routed(faulty),
@@ -515,11 +520,13 @@ def cached_study(
     touched.  Disk traffic is recorded as ``study_disk_cache.*``
     counters and a ``disk`` span attribute.  Only *complete* studies
     enter the full-study cache — a degraded sweep leaves its checkpoint
-    behind for ``resume`` instead.
+    behind for ``resume`` instead.  ``parallel`` accepts only ``None``
+    or ``1``, as for :func:`run_study`.
     """
     # Local import: serialization imports this module for StudyResults.
     from repro.harness import serialization
 
+    _check_parallel(parallel)
     config = config or ExperimentConfig()
     cache_dir = _resolve_cache_dir(cache_dir)
     hit = config in _STUDY_CACHE
@@ -547,7 +554,6 @@ def cached_study(
             if study is None:
                 study = run_study(
                     config,
-                    parallel=parallel,
                     policy=retry_policy,
                     fault_plan=fault_plan,
                     cache_dir=cache_dir,

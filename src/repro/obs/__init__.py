@@ -21,6 +21,8 @@ default), so instrumentation lives permanently in the hot paths.
 
 from repro.obs.export import (
     TRACE_FORMATS,
+    capture_counters,
+    merge_observations,
     render_tree,
     span_to_dict,
     spans_from_dicts,
@@ -100,6 +102,7 @@ __all__ = [
     "Span",
     "TelemetryStore",
     "Tracer",
+    "capture_counters",
     "counter",
     "diff_run",
     "disable_tracing",
@@ -110,6 +113,7 @@ __all__ = [
     "get_tracer",
     "git_state",
     "histogram",
+    "merge_observations",
     "profile_runs",
     "profile_spans",
     "render_hotspots",

@@ -21,10 +21,13 @@ import json
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.trace import Span
+from repro.obs.metrics import Counter, MetricsRegistry, counter
+from repro.obs.trace import Span, get_tracer
 
 __all__ = [
     "TRACE_FORMATS",
+    "capture_counters",
+    "merge_observations",
     "span_to_dict",
     "spans_from_dicts",
     "to_jsonl",
@@ -58,8 +61,9 @@ def spans_from_dicts(records: Iterable[Dict[str, Any]]) -> List[Span]:
     ``parent_id`` and the root spans are returned in record order.
     Records whose parent is absent from the batch become roots
     themselves (a worker ships only the subtree it recorded).  Used by
-    the parallel execution engine to rehydrate worker traces before
-    :meth:`~repro.obs.trace.Tracer.adopt` grafts them into the parent.
+    :func:`merge_observations` to rehydrate a worker process's trace
+    before :meth:`~repro.obs.trace.Tracer.adopt` grafts it into the
+    parent.
     """
     spans: Dict[int, Span] = {}
     ordered: List[Span] = []
@@ -89,6 +93,37 @@ def spans_from_dicts(records: Iterable[Dict[str, Any]]) -> List[Span]:
         else:
             roots.append(s)
     return roots
+
+
+def capture_counters(registry: MetricsRegistry) -> Dict[str, int]:
+    """Counter name -> value for every counter in ``registry``.
+
+    What a worker process (the serving layer's supervised workers)
+    ships back with its result, together with its flattened spans.
+    """
+    return {
+        name: registry.get(name).value
+        for name in registry.names()
+        if isinstance(registry.get(name), Counter)
+    }
+
+
+def merge_observations(
+    counters: Dict[str, int], span_dicts: List[Dict[str, Any]]
+) -> None:
+    """Fold one worker process's counters and spans into this process.
+
+    Counterpart of :func:`capture_counters` plus :func:`span_to_dict`:
+    counters add into the current registry, and the rebuilt span trees
+    are adopted by the current tracer when it is enabled.
+    """
+    for name, value in counters.items():
+        if value:
+            counter(name).inc(value)
+    tracer = get_tracer()
+    if tracer.enabled and span_dicts:
+        for root in spans_from_dicts(span_dicts):
+            tracer.adopt(root)
 
 
 def to_jsonl(roots: Iterable[Span]) -> str:

@@ -1,14 +1,13 @@
 """Span profiling: self-time aggregation and folded-stack export.
 
 A span's *total* time includes everything nested inside it, so totals
-alone cannot answer the ROADMAP's standing question — "is the pool's
-dispatch overhead eating the tiny per-point analytic cost?".  The
-profiler computes **self time** (a span's duration minus its children's
+alone cannot say which layer a run's time went to.  The profiler
+computes **self time** (a span's duration minus its children's
 durations, clamped at zero) and aggregates it by span name over one run
-or a whole history window, which turns that diagnosis into a queryable
-fact: the ``exec.parallel_map`` row's self-time *is* the engine's
-chunk/pickle/merge overhead, directly comparable against the
-``simulate`` row's per-point work.
+or a whole history window, so "where did the time go" becomes a
+queryable fact: the ``sweep.chunk`` row's self-time is the batch
+engine's own work, with the ``codegen`` spans nested in it counted in
+their own row.
 
 Two outputs:
 

@@ -98,7 +98,6 @@ class MetricSpec:
 DEFAULT_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("span.run_study.total_s", "lower", 0.75, floor=0.05),
     MetricSpec("span.simulate.total_s", "lower", 0.75, floor=0.05),
-    MetricSpec("span.exec.parallel_map.total_s", "lower", 0.75, floor=0.05),
     MetricSpec("span.tune.search.total_s", "lower", 0.75, floor=0.05),
     MetricSpec("run.duration_s", "lower", 0.75, floor=0.25),
     MetricSpec("counter.simulate.calls", "equal", 0.0),

@@ -193,15 +193,16 @@ class Tracer:
     def adopt(self, root: Span) -> Span:
         """Graft a finished span tree into this tracer's record.
 
-        Used by the parallel execution engine: worker processes trace
-        into their own tracer, ship the finished trees back as flat
-        dicts, and the parent adopts each rebuilt root here.  Span ids
-        are reassigned from this tracer's sequence (worker ids would
-        collide with locally recorded spans), and the tree is attached
-        under the calling thread's innermost open span — so adopted
-        ``study.point`` trees land inside the parent's ``run_study``
-        span exactly as they would have in a serial run.  With no open
-        span the tree becomes a new root.  No-op when disabled.
+        Used by :func:`repro.obs.merge_observations`: a worker process
+        (the serving layer's supervised workers) traces into its own
+        tracer, ships the finished trees back as flat dicts, and the
+        parent adopts each rebuilt root here.  Span ids are reassigned
+        from this tracer's sequence (worker ids would collide with
+        locally recorded spans), and the tree is attached under the
+        calling thread's innermost open span — so an adopted
+        ``run_study`` tree lands inside the parent's ``serve.job`` span
+        exactly as it would have in a thread worker.  With no open span
+        the tree becomes a new root.  No-op when disabled.
         """
         if not self.enabled:
             return root

@@ -1,7 +1,7 @@
 """``repro.resilience`` — fault tolerance for the execution engine.
 
-Three pieces, composed by :mod:`repro.exec.pool`, the sweep harness, and
-the serving layer:
+Three pieces, composed by :func:`repro.exec.parallel_map`, the sweep
+harness, and the serving layer:
 
 * :class:`RetryPolicy` + :func:`run_with_policy` — retry with
   exponential backoff, per-task deadlines, transient/deterministic

@@ -4,14 +4,14 @@ A :class:`FaultPlan` names which tasks misbehave and how — raise a
 transient error, hang past a deadline, return a corrupted payload, or
 deliver a keyboard interrupt — keyed by a stable per-task key (for the
 study sweep, the ``(stencil, platform, variant)`` triple).  Plans are
-plain frozen data: the same plan produces the same fault sequence in a
-serial run, a parallel run, and across processes, which is what makes
-the chaos tests (and ``--inject-faults``) reproducible.
+plain frozen data: the same plan produces the same fault sequence on
+every run and in every process, which is what makes the chaos tests
+(and ``--inject-faults``) reproducible.
 
 :meth:`FaultPlan.seeded` draws faults pseudo-randomly but
 deterministically: each key's fate is a pure function of ``(seed,
 key)`` via SHA-256, so it does not depend on Python's per-process hash
-salt, on task order, or on how tasks are chunked over workers.
+salt or on task order.
 
 Faults trigger *before* the wrapped function runs, and only for the
 first ``failures`` attempts of a task (``failures < 0`` = every
@@ -43,8 +43,7 @@ class CorruptPayload:
     """The poison value a ``corrupt`` fault returns instead of a result.
 
     Fails any type-based result validation (it is not a
-    ``SimulationResult``), and is picklable so it can cross the
-    process-pool boundary when no validator is installed.
+    ``SimulationResult``).
     """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -139,7 +138,7 @@ class FaultPlan:
         fn: Callable[[T], R],
         key_fn: Optional[Callable[[T], Any]] = None,
     ) -> "FaultyFunction":
-        """A picklable callable that injects this plan around ``fn``.
+        """A callable that injects this plan around ``fn``.
 
         ``key_fn`` maps a task item to its plan key (default: the item
         itself is the key).
@@ -151,10 +150,9 @@ class FaultyFunction:
     """Callable wrapper that sabotages planned attempts of ``fn``.
 
     Attempt numbers are counted per task key within this instance; the
-    executor retries a task wherever it first ran (in-process, or in
-    the worker owning its chunk), so all attempts of one task see the
-    same counter and the injected failure sequence is identical in
-    serial and parallel runs.
+    retry policy re-calls the same instance, so all attempts of one task
+    see the same counter and the injected failure sequence is the same
+    on every run.
     """
 
     def __init__(

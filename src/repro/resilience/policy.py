@@ -6,13 +6,10 @@ deadline, which exception types count as *transient* (retryable), and
 an optional result validator that turns corrupted payloads into
 retries.
 
-:func:`run_with_policy` is the runner both the serial and the parallel
-execution paths share, so a sweep behaves bit-identically at any job
-count: the retry loop executes wherever the task executes (in-process,
-or inside the pool worker that owns the task's chunk), and every retry
-and timeout is recorded through the ``repro.obs`` counters
-(``exec.retries``, ``exec.timeouts``, ``exec.invalid_results``) that
-the parallel engine already re-aggregates from workers.
+:func:`run_with_policy` is the runner :func:`repro.exec.parallel_map`
+applies to each of a sweep's fault-injected points, in-process; every
+retry and timeout is recorded through the ``repro.obs`` counters
+(``exec.retries``, ``exec.timeouts``, ``exec.invalid_results``).
 
 Backoff is exponential and deliberately jitter-free — determinism is a
 repo-wide invariant (the same study must produce the same trace twice).
@@ -45,8 +42,8 @@ class RetryPolicy:
 
     ``retries`` is the number of *additional* attempts after the first
     (so a task runs at most ``retries + 1`` times).  ``validate``, when
-    given, must be a picklable (module-level) predicate; a result it
-    rejects is treated as a :class:`CorruptResultError` and retried.
+    given, is a predicate on the result; a result it rejects is treated
+    as a :class:`CorruptResultError` and retried.
     """
 
     retries: int = 2
@@ -90,7 +87,7 @@ DEFAULT_POLICY = RetryPolicy()
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """Structured, picklable record of one task's permanent failure.
+    """Structured record of one task's permanent failure.
 
     Returned (not raised) by the execution engine when the caller asked
     for graceful degradation, so one bad matrix point cannot discard a

@@ -6,8 +6,8 @@ Two strategies, picked automatically:
   :class:`~repro.errors.TaskTimeoutError` *inside* the running task, so
   the exception unwinds through any open ``with span(...)`` blocks and
   the trace stays consistent.  Requires the POSIX itimer API and the
-  main thread (both true for the serial sweep path and for process-pool
-  workers, whose chunk runner executes on the worker's main thread).
+  main thread (both true for a CLI sweep and for the serving layer's
+  supervised worker processes).
 * **thread-based** (fallback) — the task runs on a daemon thread that
   is abandoned on timeout.  Portable, but the hung thread keeps running
   until the process exits and any span it opened is never closed; only

@@ -43,6 +43,7 @@ from repro.validate.golden import DEFAULT_GOLDEN_PATH, load_golden
 __all__ = [
     "PAPER_OVERALL_P",
     "PAPER_TABLE3",
+    "PAPER_TABLE4",
     "PAPER_TABLE5",
     "drift_md",
     "experiments_md",
@@ -70,6 +71,15 @@ PAPER_TABLE5 = {
     "25pt": (88, 81, 56, 41, 91, 65),
     "27pt": (93, 59, 67, 59, 92, 71),
     "125pt": (92, 89, 64, 38, 92, 67),
+}
+#: Paper Table 4: theoretical arithmetic intensity (FLOP/byte) per stencil.
+PAPER_TABLE4 = {
+    "7pt": 0.5,
+    "13pt": 0.9375,
+    "19pt": 1.375,
+    "25pt": 1.8125,
+    "27pt": 1.875,
+    "125pt": 8.375,
 }
 #: The paper's overall P (percent) of Tables 3 and 5, keyed by table.
 PAPER_OVERALL_P = {3: 61, 5: 68}
@@ -267,11 +277,10 @@ def _experiments_md_full(study: StudyResults) -> str:
     w("")
     w("| Stencil | Measured AI | Paper AI | Match |")
     w("|---|---|---|---|")
-    paper4 = {"7pt": 0.5, "13pt": 0.9375, "19pt": 1.375, "25pt": 1.8125,
-              "27pt": 1.875, "125pt": 8.375}
     for r in table4():
-        ok = abs(r["theoretical_ai"] - paper4[r["name"]]) < 1e-12
-        w(f"| {r['name']} | {r['theoretical_ai']} | {paper4[r['name']]} | "
+        paper = PAPER_TABLE4[r["name"]]
+        ok = abs(r["theoretical_ai"] - paper) < 1e-12
+        w(f"| {r['name']} | {r['theoretical_ai']} | {paper} | "
           f"{'✓' if ok else '✗'} |")
     w("")
 

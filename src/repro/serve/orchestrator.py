@@ -102,9 +102,7 @@ class Orchestrator:
 
     ``workers`` threads drain the queue concurrently; ``batch_window``
     bounds how many clean jobs one worker may coalesce into a single
-    batch sweep (1 disables micro-batching); ``jobs`` is the per-study
-    worker-process count forwarded to :func:`~repro.harness.run_study`
-    for solo runs (it only spreads a drill job's fault-injected points).
+    batch sweep (1 disables micro-batching).
 
     ``run_study_fn`` is injectable for tests (a raising stub exercises
     the ``failed`` path deterministically).
@@ -125,7 +123,6 @@ class Orchestrator:
         queue_limit: int = 32,
         workers: int = 2,
         batch_window: int = 8,
-        jobs: Optional[int] = None,
         run_study_fn: Optional[Callable[..., StudyResults]] = None,
         journal: "Optional[JobJournal | str]" = None,
         backend: str = "thread",
@@ -147,7 +144,6 @@ class Orchestrator:
         self.queue = JobQueue(limit=queue_limit)
         self.workers = workers
         self.batch_window = batch_window
-        self.study_jobs = jobs
         self.backend = backend
         self.max_crashes = max_crashes
         self.checkpoint_every = checkpoint_every
@@ -507,7 +503,7 @@ class Orchestrator:
         points after its last checkpoint (``study.resumed_points``
         counts the skips).  Drill jobs never touch the shared cache.
         """
-        kwargs: Dict[str, object] = {"parallel": self.study_jobs}
+        kwargs: Dict[str, object] = {}
         if job.options.clean and self.store.cache_dir:
             kwargs["cache_dir"] = self.store.cache_dir
             kwargs["resume"] = True

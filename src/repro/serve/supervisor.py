@@ -13,9 +13,9 @@ module is the containment layer the ``--backend process`` flag buys:
   :func:`~repro.harness.experiments.run_study` path as the thread
   backend (checkpoints, retries and fault plans included), and ships
   the study back *with its counters and spans* (captured and merged by
-  the same :func:`repro.exec.capture_counters` /
-  :func:`repro.exec.merge_observations` pair the chunked pool uses, so
-  telemetry is backend-agnostic);
+  :func:`repro.obs.capture_counters` /
+  :func:`repro.obs.merge_observations`, so telemetry is
+  backend-agnostic);
 * a **heartbeat** — a shared double the child refreshes from a daemon
   thread a few times a second — distinguishes "still simulating" from
   "wedged below Python" (stuck in C, deadlocked);
@@ -49,7 +49,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError, TaskTimeoutError, WorkerCrashError
-from repro.obs import counter
+from repro.obs import counter, merge_observations
 from repro.serve.jobs import Job
 
 __all__ = ["Supervisor", "WorkerHandle"]
@@ -92,9 +92,7 @@ def _worker_main(conn: Any, heartbeat: Any) -> None:
     # Imports deferred to keep the pre-fork footprint (and the window
     # for import-time state to leak across the fork) small.
     from repro import obs
-    from repro.exec.pool import capture_counters
     from repro.harness.experiments import run_study
-    from repro.obs.export import span_to_dict
 
     while True:
         try:
@@ -120,9 +118,9 @@ def _worker_main(conn: Any, heartbeat: Any) -> None:
             reply: Tuple[Any, ...] = ("done", study)
         except Exception as exc:
             reply = ("error", f"{type(exc).__name__}: {exc}")
-        counters = capture_counters(registry)
+        counters = obs.capture_counters(registry)
         spans = [
-            span_to_dict(s) for root in tracer.roots() for s in root.walk()
+            obs.span_to_dict(s) for root in tracer.roots() for s in root.walk()
         ] if tracer.enabled else []
         try:
             conn.send(reply + (counters, spans))
@@ -243,8 +241,6 @@ class WorkerHandle:
                 exit_code=code,
             ) from None
         kind, payload, counters, spans = reply
-        from repro.exec.pool import merge_observations
-
         merge_observations(counters, spans)
         if kind == "error":
             raise ServeError(payload)

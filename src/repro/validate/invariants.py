@@ -504,7 +504,7 @@ def _resume_reattempts_failures() -> Iterable[str]:
     try:
         with tempfile.TemporaryDirectory(prefix="repro-validate-") as tmp:
             degraded = experiments.cached_study(
-                cfg, parallel=1, cache_dir=tmp,
+                cfg, cache_dir=tmp,
                 retry_policy=policy, fault_plan=plan,
             )
             if degraded.complete or key not in degraded.failed:
@@ -514,7 +514,7 @@ def _resume_reattempts_failures() -> Iterable[str]:
                 )
                 return
             resumed = experiments.cached_study(
-                cfg, parallel=1, cache_dir=tmp, resume=True,
+                cfg, cache_dir=tmp, resume=True,
             )
             if not resumed.complete:
                 fp = resumed.failed.get(key)

@@ -3,9 +3,8 @@
 ``simulate_batch`` replaces the scalar ``simulate()`` loop for every
 analytic sweep, so the scalar path is its oracle: every result field —
 floats *bitwise*, ints by value, types by identity — must match, for
-single points, whole studies at any job count, failure degradation
-under injected faults, and the autotuner.  These tests pin that
-contract, plus the process pool's break-even model.
+single points, whole studies, failure degradation under injected
+faults, and the autotuner.  These tests pin that contract.
 """
 
 import struct
@@ -18,17 +17,18 @@ from repro import harness, obs
 from repro.dsl.shapes import by_name
 from repro.errors import SimulationError, TaskTimeoutError
 from repro.exec import (
-    break_even_points,
-    clear_cost_model,
-    observed_cost,
-    parallel_map,
-    record_cost,
     simulate_point,
     study_item_key,
     validate_simulation,
 )
 from repro.gpu import BatchPoint, platform, simulate, simulate_batch, study_platforms
-from repro.resilience import FaultPlan, RetryPolicy, TaskFailure, run_with_policy
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    RetryPolicy,
+    TaskFailure,
+    run_with_policy,
+)
 from repro.tuning.space import TuningSpace
 
 SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
@@ -230,17 +230,24 @@ def _seeded_plan(config):
     )
 
 
+#: Routes every SMALL point through the scalar retry path without
+#: injecting anything: a ``raise`` spec that sabotages zero attempts.
+SCALAR_ROUTED = FaultPlan(faults=tuple(
+    (key, FaultSpec("raise", failures=0)) for key in SMALL.keys()
+))
+
+
 class TestStudyEquivalence:
     """``run_study`` against the scalar oracle loop, three ways: the
-    oracle, the study at ``parallel=1`` and the study at ``parallel=3``
-    (the job count spreads only the fault-injected points)."""
+    oracle, the batch-engine study, and the study with every point
+    routed through the in-process scalar retry path."""
 
     def test_three_way_results_identical(self, registry):
         oracle, _, _ = scalar_study(SMALL)
-        for parallel in (1, 3):
-            study = harness.run_study(SMALL, parallel=parallel)
-            assert list(study.results) == list(oracle), parallel
-            assert study.results == oracle, parallel
+        for plan in (None, SCALAR_ROUTED):
+            study = harness.run_study(SMALL, fault_plan=plan)
+            assert list(study.results) == list(oracle), plan
+            assert study.results == oracle, plan
             assert not study.failed
             for key in oracle:
                 assert _bits(study.results[key]) == _bits(oracle[key])
@@ -248,9 +255,9 @@ class TestStudyEquivalence:
     def test_vectorized_counters_match_serial(self, registry):
         _, _, oracle = scalar_study(SMALL)
         assert oracle["simulate.calls"] == 15
-        for parallel in (1, 3):
-            _, counters = measured_study(SMALL, parallel=parallel)
-            assert counters == oracle, parallel
+        for plan in (None, SCALAR_ROUTED):
+            _, counters = measured_study(SMALL, fault_plan=plan)
+            assert counters == oracle, plan
 
     def test_three_way_identical_under_faults(self, registry):
         assert len(_seeded_plan(SMALL)) > 0
@@ -260,14 +267,12 @@ class TestStudyEquivalence:
             SMALL, policy=policy, fault_plan=_seeded_plan(SMALL)
         )
         assert not failed and oracle == clean
-        for parallel in (1, 3):
-            study, counters = measured_study(
-                SMALL, parallel=parallel, policy=policy,
-                fault_plan=_seeded_plan(SMALL),
-            )
-            assert study.complete, parallel
-            assert study.results == oracle, parallel
-            assert counters == oracle_counters, parallel
+        study, counters = measured_study(
+            SMALL, policy=policy, fault_plan=_seeded_plan(SMALL),
+        )
+        assert study.complete
+        assert study.results == oracle
+        assert counters == oracle_counters
 
     def test_failed_points_identical_across_modes(self, registry):
         # Zero retries: every injected fault becomes a degraded FAILED
@@ -279,15 +284,34 @@ class TestStudyEquivalence:
             SMALL, policy=policy, fault_plan=_seeded_plan(SMALL)
         )
         assert set(failed) == {key for key, _ in plan.faults}
-        for parallel in (1, 3):
-            study, counters = measured_study(
-                SMALL, parallel=parallel, policy=policy,
-                fault_plan=_seeded_plan(SMALL),
-            )
-            assert study.failed == failed, parallel
-            assert study.results == oracle, parallel
-            assert list(study.results) == list(oracle), parallel
-            assert counters == oracle_counters, parallel
+        study, counters = measured_study(
+            SMALL, policy=policy, fault_plan=_seeded_plan(SMALL),
+        )
+        assert study.failed == failed
+        assert study.results == oracle
+        assert list(study.results) == list(oracle)
+        assert counters == oracle_counters
+
+    def test_scalar_routed_span_tree(self, tracer):
+        harness.run_study(SMALL, fault_plan=SCALAR_ROUTED)
+        (root,) = tracer.roots()
+        assert root.name == "run_study"
+        assert not root.find("sweep.batch")
+        points = root.find("study.point")
+        assert [p.parent_id for p in points] == [root.span_id] * 15
+        keys = {
+            (p.attrs["stencil"], p.attrs["platform"], p.attrs["variant"])
+            for p in points
+        }
+        assert keys == set(SMALL.keys())
+        for p in points:
+            (sim,) = p.children
+            assert sim.name == "simulate"
+            assert [c.name for c in sim.children] == [
+                "codegen", "cost", "traffic", "timing"
+            ]
+        ids = [s.span_id for s in root.walk()]
+        assert len(ids) == len(set(ids))
 
     def test_vectorized_span_tree(self, tracer):
         harness.run_study(SMALL)
@@ -383,55 +407,6 @@ class TestBatchFailureSemantics:
         )
         assert [i for i, _ in seen] == [0, 1, 2]
         assert [r for _, r in seen] == out
-
-
-def _costed(x):
-    return x
-
-
-def _double(x):
-    return 2 * x
-
-
-class TestPoolAutoFallback:
-    def test_cheap_parallel_map_falls_back_to_serial(self, registry):
-        clear_cost_model()
-        try:
-            record_cost(_double, 1e-6)  # far below any break-even
-            out = parallel_map(_double, list(range(50)), jobs=4)
-            assert out == [2 * x for x in range(50)]
-            assert registry.counter("exec.dispatch.serial_fallback").value == 1
-        finally:
-            clear_cost_model()
-
-    def test_probe_path_records_cost(self, registry):
-        clear_cost_model()
-        try:
-            out = parallel_map(_double, list(range(40)), jobs=2)
-            assert out == [2 * x for x in range(40)]
-            assert observed_cost(_double) is not None
-        finally:
-            clear_cost_model()
-
-    def test_break_even_infinite_without_parallelism(self):
-        assert break_even_points(0.01, 4, cpus=1) == float("inf")
-        assert break_even_points(0.01, 1, cpus=8) == float("inf")
-
-    def test_break_even_finite_with_parallelism(self):
-        n = break_even_points(0.01, 4, cpus=4)
-        assert 0 < n < float("inf")
-        # Cheaper items need more of them to amortise pool startup.
-        assert break_even_points(0.001, 4, cpus=4) > n
-
-    def test_cost_model_ewma(self, registry):
-        clear_cost_model()
-        try:
-            record_cost(_costed, 0.1)
-            record_cost(_costed, 0.2)
-            assert observed_cost(_costed) == pytest.approx(0.15)
-        finally:
-            clear_cost_model()
-        assert observed_cost(_costed) is None
 
 
 class TestTuningDispatch:

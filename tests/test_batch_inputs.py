@@ -96,7 +96,7 @@ class TestBadDomain:
         )
         batch_counts = {c: registry.counter(c).value for c in COUNTERS}
         obs.set_registry(obs.MetricsRegistry())
-        scalar = parallel_map(_scalar, points, jobs=1, capture_failures=True)
+        scalar = parallel_map(_scalar, points, capture_failures=True)
         scalar_counts = {
             c: obs.get_registry().counter(c).value for c in COUNTERS
         }

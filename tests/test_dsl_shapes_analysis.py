@@ -5,16 +5,7 @@ import pytest
 from repro.dsl import TABLE2, analyze, by_name, catalog, cube, star, theoretical_ai
 from repro.dsl.analysis import compulsory_bytes, total_flops
 from repro.errors import DSLError
-
-#: Expected Table 4 values straight from the paper.
-PAPER_TABLE4 = {
-    "7pt": 0.5,
-    "13pt": 0.9375,
-    "19pt": 1.375,
-    "25pt": 1.8125,
-    "27pt": 1.875,
-    "125pt": 8.375,
-}
+from repro.results.report import PAPER_TABLE4
 
 
 class TestTable2:

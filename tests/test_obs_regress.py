@@ -227,8 +227,8 @@ class TestBenchSmokeRecord:
 
     def test_config_hash_follows_the_arguments(self, bench_smoke, tmp_path):
         db = str(tmp_path / "t.db")
-        for argv in (["--jobs", "2"], ["--jobs", "2"], ["--jobs", "4"],
-                     ["--jobs", "2", "--inject-faults", "0"]):
+        for argv in ([], [], ["--inject-faults", "0"],
+                     ["--inject-faults", "1"]):
             bench_smoke.record_telemetry(
                 db, {}, [], 1.0, bench_smoke.parse_args(argv)
             )
@@ -238,5 +238,10 @@ class TestBenchSmokeRecord:
         assert len(set(hashes[1:])) == 3
         # Output paths do not change what runs.
         assert bench_smoke.config_hash(
-            bench_smoke.parse_args(["--jobs", "2", "--telemetry-db", "x.db"])
+            bench_smoke.parse_args(["--telemetry-db", "x.db"])
         ) == hashes[0]
+        assert bench_smoke.config_hash(
+            bench_smoke.parse_args(
+                ["--inject-faults", "0", "--trace-out", "t.json"]
+            )
+        ) == hashes[2]

@@ -5,7 +5,8 @@ fault sequence everywhere, transient faults are retried away (so a
 faulted sweep is bit-identical to a fault-free one), deterministic
 errors are *not* retried, and points that fail permanently degrade into
 structured :class:`FailedPoint` entries that the renderers footnote
-instead of crashing on.
+instead of crashing on.  Faulted points run in-process through
+:func:`repro.exec.parallel_map`; worker-process counts are rejected.
 """
 
 import time
@@ -13,6 +14,7 @@ import time
 import pytest
 
 from repro import cli, harness, obs
+from repro.dsl.shapes import by_name
 from repro.errors import (
     ExecutionError,
     MetricError,
@@ -21,6 +23,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.exec import parallel_map
+from repro.gpu import platform, simulate
 from repro.harness.tables import table3
 from repro.resilience import (
     CorruptPayload,
@@ -30,6 +33,7 @@ from repro.resilience import (
     TaskFailure,
     run_with_policy,
 )
+from repro.tuning import Autotuner
 
 
 @pytest.fixture
@@ -47,7 +51,7 @@ def _count(registry, name):
         return 0
 
 
-# --- module-level callables so the process pool can pickle them ----------
+# --- task callables -------------------------------------------------------
 
 
 def _double(x):
@@ -61,6 +65,12 @@ def _sleepy(x):
 
 def _model_error(x):
     raise SimulationError("deterministic model error")
+
+
+def _fail_on_seven(x):
+    if x == 7:
+        raise ValueError("seven is right out")
+    return x
 
 
 def _transient_on_three(x):
@@ -233,14 +243,38 @@ class TestRunWithPolicy:
         assert _count(registry, "exec.retries") == 1
 
 
-# --- parallel_map integration --------------------------------------------
+# --- parallel_map ---------------------------------------------------------
+
+
+class TestParallelMap:
+    def test_results_in_input_order(self):
+        items = list(range(53))
+        assert parallel_map(_double, items) == [2 * x for x in items]
+
+    def test_empty(self):
+        assert parallel_map(_double, []) == []
+
+    def test_exceptions_propagate(self):
+        with pytest.raises(ValueError, match="seven"):
+            parallel_map(_fail_on_seven, list(range(20)))
+
+    def test_on_result_fires_in_input_order(self):
+        seen = []
+        out = parallel_map(
+            _transient_on_three, [1, 2, 3, 4],
+            policy=RetryPolicy(retries=0, backoff_s=0.0),
+            capture_failures=True,
+            on_result=lambda i, r: seen.append((i, r)),
+        )
+        assert [i for i, _ in seen] == [0, 1, 2, 3]
+        assert [r for _, r in seen] == out
 
 
 class TestParallelMapResilience:
     def test_capture_failures_degrades_to_record(self, registry):
         policy = RetryPolicy(retries=0, backoff_s=0.0)
         results = parallel_map(
-            _transient_on_three, [1, 2, 3, 4], jobs=1,
+            _transient_on_three, [1, 2, 3, 4],
             policy=policy, capture_failures=True,
         )
         assert results[0] == 2 and results[1] == 4 and results[3] == 8
@@ -253,19 +287,9 @@ class TestParallelMapResilience:
     def test_capture_timeout_marks_timed_out(self):
         policy = RetryPolicy(retries=0, backoff_s=0.0, timeout_s=0.1)
         [failure] = parallel_map(
-            _sleepy, [1], jobs=1, policy=policy, capture_failures=True
+            _sleepy, [1], policy=policy, capture_failures=True
         )
         assert isinstance(failure, TaskFailure) and failure.timed_out
-
-    def test_faulted_parallel_matches_serial(self, registry):
-        policy = RetryPolicy(retries=2, backoff_s=0.0)
-        serial = parallel_map(_Flaky(failures=1), list(range(12)), jobs=1,
-                              policy=policy)
-        serial_retries = _count(registry, "exec.retries")
-        parallel = parallel_map(_Flaky(failures=1), list(range(12)), jobs=2,
-                                policy=policy)
-        assert parallel == serial == [10 * x for x in range(12)]
-        assert _count(registry, "exec.retries") == 2 * serial_retries
 
 
 # --- the acceptance sweep: faults into a 2-platform study ----------------
@@ -296,9 +320,7 @@ class TestStudyDegradation:
         return harness.run_study(SMALL2, parallel=1)
 
     def test_faulted_sweep_degrades_gracefully(self, registry, clean):
-        study = harness.run_study(
-            SMALL2, parallel=2, policy=POLICY, fault_plan=PLAN
-        )
+        study = harness.run_study(SMALL2, policy=POLICY, fault_plan=PLAN)
         # Retried points recover bit-identically; only the hang is lost.
         assert len(study) == 11 and not study.complete
         assert set(clean.results) - set(study.results) == {HUNG_KEY}
@@ -319,21 +341,23 @@ class TestStudyDegradation:
         assert _count(registry, "faults.injected.raise") == 4
         assert _count(registry, "faults.injected.hang") == 3
 
-    def test_serial_and_parallel_fail_identically(self, registry):
-        serial = harness.run_study(
-            SMALL2, parallel=1, policy=POLICY, fault_plan=PLAN
-        )
+    def test_rerun_fails_identically(self, registry):
+        first = harness.run_study(SMALL2, policy=POLICY, fault_plan=PLAN)
         mid = {
             name: _count(registry, name)
             for name in ("exec.retries", "exec.timeouts", "exec.failed_points")
         }
-        parallel = harness.run_study(
-            SMALL2, parallel=2, policy=POLICY, fault_plan=PLAN
-        )
-        assert parallel.results == serial.results
-        assert parallel.failed == serial.failed
+        second = harness.run_study(SMALL2, policy=POLICY, fault_plan=PLAN)
+        assert second.results == first.results
+        assert second.failed == first.failed
         for name, value in mid.items():
             assert _count(registry, name) == 2 * value, name
+
+    def test_worker_process_count_rejected(self):
+        with pytest.raises(ExecutionError, match="in-process"):
+            harness.run_study(SMALL2, parallel=4)
+        with pytest.raises(ExecutionError, match="in-process"):
+            harness.cached_study(SMALL2, parallel=0)
 
     def test_renderers_footnote_the_gap(self, registry, clean):
         study = harness.run_study(
@@ -362,3 +386,39 @@ class TestCliFaultInjection:
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAILED" not in out  # transient faults fully recovered
+
+    def test_jobs_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["study", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+class TestTuningEquivalence:
+    def test_tune_with_policy_equals_scalar_loop(self):
+        stencil = by_name("13pt").build()
+        plat = platform("A100", "CUDA")
+        domain = (64, 64, 64)
+        # A policy switches the batch to failure capture; nothing fails
+        # here, so the ranking is the scalar loop's.
+        outcome = Autotuner().tune(
+            stencil, plat, domain=domain, stencil_name="13pt",
+            policy=RetryPolicy(retries=1, backoff_s=0.0),
+        )
+        points = Autotuner().space.candidates(
+            plat.arch.simd_width, stencil.radius, domain
+        )
+        scalar = sorted(
+            (
+                simulate(
+                    stencil, "bricks_codegen", plat, domain=domain,
+                    stencil_name="13pt", dims=p.brick_dims(),
+                    vector_length=p.vector_length,
+                ).time_s,
+                p.label(),
+                p,
+            )
+            for p in points
+        )
+        assert outcome.ranking == tuple((p, t) for t, _, p in scalar)
+        assert outcome.best == scalar[0][2]

@@ -51,7 +51,6 @@ def boot(*extra):
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
-    env.pop("REPRO_JOBS", None)
     env.pop("REPRO_CACHE_DIR", None)
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
