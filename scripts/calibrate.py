@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro import dsl, gpu
 from repro.results.report import (
+    PAPER_CODEGEN_GAINS,
     PAPER_OVERALL_P,
     PAPER_TABLE3,
     PAPER_TABLE5,
@@ -75,13 +76,6 @@ def main() -> None:
         print(f"  {p.name:>12}: star {star_gain:5.1f}x  cube {cube_gain:5.1f}x")
 
     print("\n=== Headline codegen speed-ups (bricks_codegen time vs array time) ===")
-    targets = {
-        "A100-CUDA": "1.3x star / 2x cube",
-        "A100-SYCL": "13x star / 26x cube",
-        "MI250X-HIP": "1.3x star / 3x cube",
-        "MI250X-SYCL": "3x star / 9x cube",
-        "PVC-SYCL": "3x star / 5x cube",
-    }
     for p in plats:
         star_gain = max(
             results[(n, p.name, "array")].time_s
@@ -93,9 +87,10 @@ def main() -> None:
             / results[(n, p.name, "bricks_codegen")].time_s
             for n in ("27pt", "125pt")
         )
+        star, cube = PAPER_CODEGEN_GAINS[p.name]
         print(
             f"  {p.name:>12}: star {star_gain:5.1f}x  cube {cube_gain:5.1f}x"
-            f"   (paper: {targets[p.name]})"
+            f"   (paper: {star} star / {cube} cube)"
         )
 
     print("\n=== Bytes moved, A100 (Figure 5 right; minimum 2.15 GB) ===")

@@ -83,6 +83,16 @@ _MEMO: Dict[Tuple, VectorProgram] = {}
 #: per process; it is cleared with ``_MEMO``, so a cold run pays for both.
 COST_MEMO: Dict[Tuple, ProgramCost] = {}
 
+#: One built program per shape: stencil signature, ``bk``, ``bj``,
+#: vectors per row (``bi // vl``), strategy and reuse.  Tiles ``(bk, bj,
+#: nvec * vl)`` of one shape give the same op sequence at every ``vl``
+#: (register names and load kinds never depend on it, given ``r < vl``)
+#: except for the fields in the value's ``(op index, a, b)`` list, each
+#: of which holds ``a * vl + b``.  A ``_MEMO`` miss on a known shape
+#: re-binds those fields instead of building, scanning and choosing the
+#: sequence again.  Cleared with ``_MEMO``.
+_SHAPES: Dict[Tuple, Tuple[VectorProgram, List[Tuple[int, int, int]]]] = {}
+
 
 def memo_key(
     stencil: Stencil, dims: BrickDims, options: CodegenOptions
@@ -92,16 +102,17 @@ def memo_key(
         stencil.output,
         stencil.input,
         stencil.ndim,
-        tuple(sorted(stencil.taps.items())),
+        stencil.sorted_taps,
         dims.dims,
         options,
     )
 
 
 def clear_codegen_memo() -> None:
-    """Drop all memoised programs and their costs (tests and benchmarks)."""
+    """Drop all memoised programs, shapes and costs (tests and benchmarks)."""
     _MEMO.clear()
     COST_MEMO.clear()
+    _SHAPES.clear()
 
 
 def generate(
@@ -144,22 +155,15 @@ def generate(
                 sp.set_attr("ops", len(memoised.ops))
             return memoised
         counter("codegen.memo_misses").inc()
-        if options.strategy == "naive":
-            prog = _Builder(stencil, dims, vl).naive()
-        elif options.strategy == "gather":
-            prog = _Builder(stencil, dims, vl).gather(reuse=options.reuse)
-        elif options.strategy == "scatter":
-            prog = _Builder(stencil, dims, vl).scatter()
-        else:  # auto: profitability rule — fewest ops, then least register
-            # pressure; final tie goes to gather (grouped sums execute fewer
-            # FLOPs than scatter's per-tap FMAs).
-            g = _Builder(stencil, dims, vl).gather(reuse=options.reuse)
-            s = _Builder(stencil, dims, vl).scatter()
-            g_key = (len(g.ops), g.max_live_registers(), 0)
-            s_key = (len(s.ops), s.max_live_registers(), 1)
-            prog, chosen = (g, g_key) if g_key <= s_key else (s, s_key)
-            prog._peak = chosen[1]  # cost_of reuses this scan
+        shape_key = (*key[:4], bk, bj, bi // vl, options.strategy, options.reuse)
+        shape = _SHAPES.get(shape_key)
+        if shape is not None:
+            prog = _rebind(*shape, dims, vl)
+        else:
+            prog, fields = _build(stencil, dims, options)
         prog.validate()
+        if shape is None:
+            _SHAPES[shape_key] = (prog, fields)
         counter("codegen.programs").inc()
         if sp is not None:
             sp.set_attr("chosen", prog.strategy)
@@ -168,8 +172,68 @@ def generate(
     return prog
 
 
+def _build(
+    stencil: Stencil, dims: BrickDims, options: CodegenOptions
+) -> Tuple[VectorProgram, List[Tuple[int, int, int]]]:
+    """Build the program ``options`` asks for, and its ``vl`` fields."""
+    vl, reuse = options.vector_length, options.reuse
+    builder = _Builder(stencil, dims, vl)
+    if options.strategy == "naive":
+        return builder.naive(), builder.vl_fields
+    if options.strategy == "gather":
+        return builder.gather(reuse=reuse), builder.vl_fields
+    if options.strategy == "scatter":
+        return builder.scatter(), builder.vl_fields
+    # auto: profitability rule — fewest ops, then least register pressure;
+    # final tie goes to gather (grouped sums execute fewer FLOPs than
+    # scatter's per-tap FMAs).
+    g, s = builder, _Builder(stencil, dims, vl)
+    g_prog, s_prog = g.gather(reuse=reuse), s.scatter()
+    g_key = (len(g_prog.ops), g_prog.max_live_registers(), 0)
+    s_key = (len(s_prog.ops), s_prog.max_live_registers(), 1)
+    builder, prog, chosen = (g, g_prog, g_key) if g_key <= s_key else (s, s_prog, s_key)
+    prog._peak = chosen[1]  # cost_of reuses this scan
+    return prog, builder.vl_fields
+
+
+def _rebind(
+    built: VectorProgram,
+    fields: List[Tuple[int, int, int]],
+    dims: BrickDims,
+    vl: int,
+) -> VectorProgram:
+    """``built``'s program for the same shape at vector length ``vl``.
+
+    Only the recorded ``(op index, a, b)`` fields change, to ``a * vl +
+    b``: a ``Load``'s ``i0`` or a ``Shift``'s ``amount``.  Op count and
+    register names do not depend on ``vl``, so the auto rule's choice and
+    its liveness peak carry over.
+    """
+    ops = list(built.ops)
+    for at, a, b in fields:
+        op = ops[at]
+        value = a * vl + b
+        ops[at] = op._replace(i0=value) if type(op) is Load else op._replace(amount=value)
+    prog = VectorProgram(
+        ops=ops,
+        tile=dims.shape,
+        radius=built.radius,
+        vl=vl,
+        strategy=built.strategy,
+        meta=dict(built.meta),
+    )
+    prog._peak = built._peak
+    return prog
+
+
 class _Builder:
-    """Shared machinery for the three generation strategies."""
+    """Shared machinery for the three generation strategies.
+
+    ``vl_fields`` records, as ``(op index, a, b)``, every emitted field
+    whose value ``a * vl + b`` depends on ``vl`` (``a != 0``): halo and
+    aligned load offsets, naive load offsets past the first vector, and
+    the lane counts of shifts that take in the left halo.
+    """
 
     def __init__(self, stencil: Stencil, dims: BrickDims, vl: int) -> None:
         self.stencil = stencil
@@ -178,6 +242,7 @@ class _Builder:
         self.nvec = self.bi // vl
         self.r = stencil.radius
         self.ops: List[Op] = []
+        self.vl_fields: List[Tuple[int, int, int]] = []
         # Sorted taps: (ok, oj, oi) order groups rows together.
         self.taps = sorted(
             ((off[2], off[1], off[0], coeff) for off, coeff in stencil.taps.items())
@@ -217,8 +282,9 @@ class _Builder:
         key = (k, j, side)
         if key not in self._halo:
             reg = f"halo_{side}_{k}_{j}"
-            i0 = -self.vl if side == "L" else self.bi
-            self.ops.append(Load(reg, k, j, i0, "halo"))
+            a = -1 if side == "L" else self.nvec
+            self.vl_fields.append((len(self.ops), a, 0))
+            self.ops.append(Load(reg, k, j, a * self.vl, "halo"))
             self._halo[key] = reg
         return self._halo[key]
 
@@ -234,6 +300,8 @@ class _Builder:
         nvec, vl = self.nvec, self.vl
         if oi == 0:
             regs = [f"row_{k}_{j}_v{v}" for v in range(nvec)]
+            at = len(self.ops)
+            self.vl_fields.extend((at + v, v, 0) for v in range(1, nvec))
             self.ops.extend(
                 map(Load, regs, repeat(k), repeat(j), range(0, nvec * vl, vl),
                     repeat("aligned"))
@@ -248,6 +316,8 @@ class _Builder:
                 )
             else:  # the first vector shifts in the left halo
                 los = [self._halo_reg(k, j, "L"), *raw[:-1]]
+                at = len(self.ops)
+                self.vl_fields.extend((at + v, 1, oi) for v in range(nvec))
                 self.ops.extend(map(Shift, regs, los, raw, repeat(vl + oi)))
         self._rows[(k, j, oi)] = regs
         return regs
@@ -275,7 +345,7 @@ class _Builder:
         This is what the compiler sees for the plain tiled-array kernel:
         no cross-tap reuse, every neighbour access its own global read.
         """
-        ops, vl, uniq = self.ops, self.vl, self._uniq
+        ops, vl, uniq, fields = self.ops, self.vl, self._uniq, self.vl_fields
         groups = [
             (coeff, [(ok, oj, oi, "unaligned" if oi % vl else "aligned")
                      for ok, oj, oi in offs])
@@ -290,6 +360,8 @@ class _Builder:
                         regs = []
                         for ok, oj, oi, kind in taps:
                             tmp = f"t.{next(uniq)}"
+                            if v:
+                                fields.append((len(ops), v, oi))
                             ops.append(Load(tmp, k + ok, j + oj, v * vl + oi, kind))
                             regs.append(tmp)
                         regs_by_group.append((coeff, regs))

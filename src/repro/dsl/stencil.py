@@ -69,6 +69,14 @@ class Stencil:
         """
         return max(max(abs(c) for c in off) for off in self.taps)
 
+    @functools.cached_property
+    def sorted_taps(self) -> Tuple[Tuple[Offset, Coeff], ...]:
+        """``(offset, coeff)`` pairs in offset order, computed once.
+
+        The codegen memo keys every lookup on them.
+        """
+        return tuple(sorted(self.taps.items()))
+
     def offsets(self) -> Tuple[Offset, ...]:
         """All tap offsets in deterministic (lexicographic) order."""
         return tuple(sorted(self.taps))

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.bricks import BrickDims
-from repro.codegen import CodegenOptions, execute, generate
+from repro.codegen import CodegenOptions, clear_codegen_memo, execute, generate
+from repro.codegen import generator
 from repro.dsl import by_name, catalog, from_weights
+from repro.harness import STENCIL_NAMES
 from repro.reference import apply_interior, random_field
 
 
@@ -105,6 +107,45 @@ class TestAgainstReference:
         s = from_weights(taps)
         got, expected = run_program(s, {}, strategy, batch=2, seed=seed)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
+
+
+class TestReboundPrograms:
+    """Programs re-bound from another width's build run bit for bit.
+
+    Small integer inputs and coefficients keep every sum exact in fp64,
+    so the grouped-sum order of the program cannot hide a wrong lane.
+    """
+
+    @pytest.mark.parametrize("strategy", ["naive", "gather", "scatter", "auto"])
+    @pytest.mark.parametrize("name", STENCIL_NAMES)
+    def test_each_width_matches_the_reference(self, monkeypatch, name, strategy):
+        stencil = by_name(name).build()
+        bindings = {
+            sym: (-1) ** n * (n + 1) for n, sym in enumerate(sorted(stencil.symbols()))
+        }
+        r = stencil.radius
+        rng = np.random.default_rng(7)
+
+        def program(vl):
+            dims = BrickDims((2 * vl, 4, 4))
+            return generate(stencil, dims, CodegenOptions(vl, strategy))
+
+        try:
+            for vl in (8, 16, 32, 64):
+                clear_codegen_memo()
+                program(64 if vl != 64 else 8)
+                with monkeypatch.context() as m:
+                    m.setattr(generator, "_build", None)  # must re-bind
+                    prog = program(vl)
+                padded = rng.integers(
+                    -8, 9, (2, 4 + 2 * r, 4 + 2 * r, 2 * vl + 2 * r)
+                ).astype(np.float64)
+                expected = np.stack(
+                    [apply_interior(stencil, block, bindings) for block in padded]
+                )
+                np.testing.assert_array_equal(execute(prog, padded, bindings), expected)
+        finally:
+            clear_codegen_memo()
 
 
 class TestInterpreterValidation:

@@ -5,7 +5,7 @@ import pytest
 from repro import harness, obs
 from repro.bricks import BrickDims
 from repro.codegen import CodegenOptions, clear_codegen_memo, cost_of, generate
-from repro.codegen import vector_ir
+from repro.codegen import generator, vector_ir
 from repro.codegen.vector_ir import (
     Add,
     Init,
@@ -339,9 +339,11 @@ class TestLiveness:
         assert prog.max_live_registers() == quadratic_max_live(prog) == 4
 
     def test_cold_study_scans_each_candidate_once(self, monkeypatch):
-        # 18 naive programs are scanned by cost_of, and each of the 18
-        # auto programs scans its gather and scatter candidates; cost_of
-        # reuses the chosen one's peak.  More scans mean a regression.
+        # The 18 auto programs come from 6 shapes (one per stencil; the
+        # three SIMD widths re-bind the first build), and each shape
+        # scans its gather and scatter candidates once: 12 scans.
+        # cost_of reuses the chosen one's peak, but scans each of the 18
+        # naive programs: 30 in all.  More scans mean a regression.
         scans = []
         scan = vector_ir._liveness_peak
         monkeypatch.setattr(
@@ -356,7 +358,7 @@ class TestLiveness:
             obs.set_registry(prev)
             clear_codegen_memo()
         assert len(study) == 90 and study.complete
-        assert len(scans) == 54
+        assert len(scans) == 30
         assert registry.counter("codegen.memo_misses").value == 36
 
     def test_cost_of_reuses_the_scan_generate_chose_by(self, monkeypatch):
@@ -376,6 +378,84 @@ class TestLiveness:
         assert gen(stencil, "auto") is prog  # memoised, not regenerated
         assert len(scanned) == 2
         assert cost.registers == quadratic_max_live(prog)
+
+
+class TestShapeMemo:
+    """Programs re-bound from another vector length's build of a shape."""
+
+    PRIME_VL = 8
+    VLS = (16, 32, 64)
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_codegen_memo()
+        yield
+        clear_codegen_memo()
+
+    @pytest.mark.parametrize("nvec", [1, 2, 4])
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("strategy", ["naive", "gather", "scatter", "auto"])
+    @pytest.mark.parametrize("name", STENCIL_NAMES)
+    def test_rebound_equals_a_direct_build(
+        self, monkeypatch, name, strategy, reuse, nvec
+    ):
+        stencil = by_name(name).build()
+        build = generator._build
+
+        def dims(vl):
+            return BrickDims((nvec * vl, 4, 4))
+
+        gen(stencil, strategy, self.PRIME_VL, dims(self.PRIME_VL), reuse)
+        # Every other width must come from the shape memo, not a build.
+        monkeypatch.setattr(generator, "_build", None)
+        for vl in self.VLS:
+            assert stencil.radius < vl
+            prog = gen(stencil, strategy, vl, dims(vl), reuse)
+            direct, _ = build(stencil, dims(vl), CodegenOptions(vl, strategy, reuse))
+            assert prog.ops == direct.ops
+            assert (prog.tile, prog.vl, prog.radius) == (direct.tile, vl, direct.radius)
+            assert (prog.strategy, prog.meta) == (direct.strategy, direct.meta)
+            assert prog.max_live_registers() == vector_ir._liveness_peak(direct.ops)
+        assert len(generator._SHAPES) == 1
+
+    def test_naive_peaks_stay_uncached(self):
+        stencil = by_name("13pt").build()
+        for vl in (self.PRIME_VL, *self.VLS):
+            assert gen(stencil, "naive", vl, BrickDims((vl, 4, 4)))._peak is None
+
+    @pytest.mark.parametrize("name", STENCIL_NAMES)
+    def test_memo_key_reads_the_cached_sorted_taps(self, name):
+        stencil = by_name(name).build()
+        options = CodegenOptions(16)
+        key = generator.memo_key(stencil, DIMS, options)
+        sorted_taps = tuple(sorted(stencil.taps.items()))
+        assert key[3] is stencil.sorted_taps and key[3] == sorted_taps
+        rebuilt = generator.memo_key(by_name(name).build(), DIMS, options)
+        assert rebuilt == key and hash(rebuilt) == hash(key)
+
+    def test_clear_empties_the_shape_memo(self):
+        gen(star(1), "auto")
+        assert generator._SHAPES
+        clear_codegen_memo()
+        assert not generator._SHAPES
+
+    def test_cold_study_validates_once_per_miss(self, monkeypatch):
+        validated = []
+        validate = VectorProgram.validate
+        monkeypatch.setattr(
+            VectorProgram, "validate",
+            lambda prog: validated.append(prog.vl) or validate(prog),
+        )
+        prev = obs.get_registry()
+        registry = obs.set_registry(obs.MetricsRegistry())
+        try:
+            study = harness.run_study()
+        finally:
+            obs.set_registry(prev)
+        assert len(study) == 90 and study.complete
+        assert registry.counter("codegen.memo_misses").value == 36
+        assert len(validated) == 36
+        assert sorted(set(validated)) == [16, 32, 64]
 
 
 class TestOps:
