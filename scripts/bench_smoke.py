@@ -38,15 +38,11 @@ from repro.dsl.shapes import by_name
 from repro.gpu.batch import BatchPoint, simulate_batch
 from repro.gpu.cache import CacheSim
 from repro.gpu.simulator import simulate
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import RetryPolicy, dev_fault_plan
 
 #: Vectorized CacheSim speedup: hard floor / soft target over the oracle.
 VECTOR_SPEEDUP_FLOOR = 5.0
 VECTOR_SPEEDUP_TARGET = 10.0
-
-#: Chaos-leg fault rates (transient kinds only: the sweep must recover).
-CHAOS_RAISE_RATE = 0.06
-CHAOS_CORRUPT_RATE = 0.03
 
 #: Batch-engine gate: vectorized throughput over the scalar baseline at
 #: the ~100k-point scale (hard floor), and the number of scalar points
@@ -260,13 +256,12 @@ def batch_bench(failures: list, doc: dict) -> None:
 def chaos_bench(failures: list, doc: dict, seed: int, trace_out: str) -> None:
     """Gate 3: the sweep under injected transient faults must recover.
 
-    The retry counters must account for every injected fault.
+    The faults are the CLI's ``--inject-faults`` plan for ``seed``
+    (:func:`repro.resilience.dev_fault_plan`).  The retry counters must
+    account for every injected fault.
     """
     config = harness.ExperimentConfig()
-    plan = FaultPlan.seeded(
-        seed, config.keys(),
-        raise_rate=CHAOS_RAISE_RATE, corrupt_rate=CHAOS_CORRUPT_RATE,
-    )
+    plan = dev_fault_plan(seed, config.keys())
     policy = RetryPolicy(retries=3, backoff_s=0.01)
 
     clean_study = _cold_study()

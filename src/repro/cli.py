@@ -45,7 +45,8 @@ reconstruction, byte-identical to the direct path.
 The sweep-rendering commands accept ``--cache-dir [DIR]`` to persist and
 reuse study results across invocations in a SQLite result database,
 ``DIR/studies.db``, whose incomplete study rows double as checkpoints
-(``$REPRO_CACHE_DIR`` supplies a default directory).
+(``$REPRO_CACHE_DIR`` supplies a default directory, resolved by
+:func:`repro.harness.resolve_cache_dir` here and for ``serve``).
 
 Fault tolerance (see :mod:`repro.resilience`): ``--retries N`` and
 ``--task-timeout SECONDS`` configure the retry policy, ``--resume``
@@ -55,7 +56,10 @@ deterministically injects transient faults for chaos testing (the
 faulted points run in-process, one at a time, under the retry
 policy).  A sweep with permanently failed points still renders (gaps +
 footnote) and ``study`` exits with status 3 so scripts notice the
-degradation.
+degradation.  The flags become a policy and a plan through
+:func:`repro.resilience.retry_policy` and
+:func:`repro.resilience.dev_fault_plan` — the same calls a served job's
+options go through.
 """
 
 from __future__ import annotations
@@ -77,14 +81,8 @@ from repro.codegen.emitters import CPU_ISAS, MODELS, emit as emit_source
 from repro.dsl.shapes import by_name, catalog
 from repro.gpu.progmodel import PROFILES, VARIANTS, platform
 from repro.profiling import profile as collect_profile
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import dev_fault_plan, retry_policy
 from repro.tuning import Autotuner
-
-#: Seeded dev-mode fault rates for ``--inject-faults``: transient raises
-#: and corrupted payloads only (no hangs — a hang needs --task-timeout
-#: to recover, and a dev flag should never wedge a terminal).
-INJECT_RAISE_RATE = 0.06
-INJECT_CORRUPT_RATE = 0.03
 
 
 def _finite_float(text: str) -> float:
@@ -97,43 +95,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _retry_policy(args) -> Optional[RetryPolicy]:
-    """A RetryPolicy from --retries/--task-timeout, or None for defaults."""
-    if args.retries is None and args.task_timeout is None:
-        return None
-    kwargs = {}
-    if args.retries is not None:
-        kwargs["retries"] = args.retries
-    if args.task_timeout is not None:
-        kwargs["timeout_s"] = args.task_timeout
-    return RetryPolicy(**kwargs)
-
-
-def _fault_plan(args) -> Optional[FaultPlan]:
-    """The seeded dev fault plan for --inject-faults, or None."""
-    if args.inject_faults is None:
-        return None
-    config = harness.ExperimentConfig()
-    return FaultPlan.seeded(
-        args.inject_faults,
-        config.keys(),
-        raise_rate=INJECT_RAISE_RATE,
-        corrupt_rate=INJECT_CORRUPT_RATE,
-    )
-
-
 def _cached_study(args):
     cache_dir = args.cache_dir
     if args.resume and not cache_dir:
         # --resume needs somewhere to find the checkpoint: honour the
         # environment first, then the default cache location.
         cache_dir = (
-            os.environ.get(harness.CACHE_DIR_ENV) or harness.default_cache_dir()
+            harness.resolve_cache_dir(None) or harness.default_cache_dir()
         )
     return harness.cached_study(
         cache_dir=cache_dir,
-        retry_policy=_retry_policy(args),
-        fault_plan=_fault_plan(args),
+        retry_policy=retry_policy(args.retries, args.task_timeout),
+        fault_plan=dev_fault_plan(
+            args.inject_faults, harness.ExperimentConfig().keys()
+        ),
         resume=args.resume,
         results_db=args.results_db,
     )
@@ -304,7 +279,7 @@ def _tune(args) -> int:
     plat = platform(args.arch, args.model)
     outcome = Autotuner().tune(
         case.build(), plat, stencil_name=case.name,
-        policy=_retry_policy(args),
+        policy=retry_policy(args.retries, args.task_timeout),
     )
     print(f"best configuration for {case.name} on {plat.name}:")
     print(f"  {outcome.best.label()}  ({outcome.best_result.gflops:.1f} GF/s)")
@@ -533,7 +508,7 @@ def _serve(args) -> int:
 
     from repro.serve import Orchestrator, ResultStore, StudyServer
 
-    cache_dir = args.cache_dir or os.environ.get(harness.CACHE_DIR_ENV) or None
+    cache_dir = harness.resolve_cache_dir(args.cache_dir or None)
     orchestrator = Orchestrator(
         ResultStore(cache_dir, results_db=args.results_db),
         queue_limit=args.queue_limit,

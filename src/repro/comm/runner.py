@@ -31,7 +31,7 @@ from repro.comm.network import Interconnect, interconnect_for
 from repro.dsl.stencil import Stencil
 from repro.errors import LayoutError
 from repro.gpu.progmodel import Platform
-from repro.gpu.simulator import simulate, tile_and_vl
+from repro.gpu.simulator import fitting_tile, simulate, tile_and_vl
 from repro.kernels.array_kernels import run_array_kernel
 
 
@@ -65,8 +65,7 @@ class DistributedStencil:
         self.bindings = dict(bindings or {})
         self.radius = stencil.radius
         local = layout.local_extents
-        self.dims = dims or _fitting_dims(local, platform.arch.simd_width,
-                                          self.radius)
+        self.dims = dims or fitting_tile(local, platform, self.radius)
         for e, d in zip(local, self.dims.dims):
             if e % d != 0:
                 raise LayoutError(
@@ -123,24 +122,6 @@ class DistributedStencil:
             dims=self.dims,
         )
         return StepReport(exchange_s=exch, kernel_s=sim.time_s)
-
-
-def _fitting_dims(local: Tuple[int, int, int], simd: int, radius: int) -> BrickDims:
-    """Default tile for a local subdomain: the paper's 4x4xSIMD when it
-    fits, otherwise the largest dividing shape."""
-    bi = simd if local[0] % simd == 0 else _largest_divisor(local[0], simd)
-    bj = 4 if local[1] % 4 == 0 else _largest_divisor(local[1], 4)
-    bk = 4 if local[2] % 4 == 0 else _largest_divisor(local[2], 4)
-    dims = BrickDims((bi, bj, bk))
-    dims.check_radius(radius)
-    return dims
-
-
-def _largest_divisor(n: int, cap: int) -> int:
-    for d in range(min(n, cap), 0, -1):
-        if n % d == 0:
-            return d
-    return 1
 
 
 def _prospective_messages(layout: RankLayout, radius: int) -> List[Message]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.errors import TaskTimeoutError
 from repro.obs import counter, span
 from repro.resilience.policy import (
     DEFAULT_POLICY,
@@ -64,12 +63,7 @@ def _run_one(
     except Exception as exc:
         if not capture:
             raise
-        return TaskFailure(
-            error_type=type(exc).__name__,
-            message=str(exc),
-            attempts=getattr(exc, "attempts", 1),
-            timed_out=isinstance(exc, TaskTimeoutError),
-        )
+        return TaskFailure.from_exception(exc)
 
 
 def parallel_map(

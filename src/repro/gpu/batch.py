@@ -306,16 +306,6 @@ def _evaluate(
     return [*moved, *times, ntiles, flops]
 
 
-def _failure(exc: Exception) -> TaskFailure:
-    """The TaskFailure a resilient scalar run would record for ``exc``."""
-    return TaskFailure(
-        error_type=type(exc).__name__,
-        message=str(exc),
-        attempts=getattr(exc, "attempts", 1),
-        timed_out=False,
-    )
-
-
 def _make_result(
     point: BatchPoint, group: _Group, row: Sequence[Any]
 ) -> SimulationResult:
@@ -597,7 +587,9 @@ def simulate_batch(
                 gidx, evaluated, columns, errors = _run_chunk(
                     chunk, table, validate, capture_failures
                 )
-            captured = {i: _failure(exc) for i, exc in errors.items()}
+            captured = {
+                i: TaskFailure.from_exception(exc) for i, exc in errors.items()
+            }
             group_parts.append(gidx)
             evaluated_parts.append(evaluated + start)
             if evaluated.size:

@@ -155,6 +155,24 @@ def tile_and_vl(
     )
 
 
+def fitting_tile(
+    extents: Sequence[int], platform: Platform, radius: int
+) -> BrickDims:
+    """A tile that divides ``extents``: the paper's 4 x 4 x SIMD per axis
+    where it divides, otherwise that axis's largest divisor below it;
+    checked against the stencil ``radius``."""
+
+    def fit(n: int, cap: int) -> int:
+        if n % cap == 0:
+            return cap
+        return next((d for d in range(min(n, cap), 0, -1) if n % d == 0), 1)
+
+    caps = tile_for(platform).dims
+    dims = BrickDims(tuple(fit(n, cap) for n, cap in zip(extents, caps)))
+    dims.check_radius(radius)
+    return dims
+
+
 def tile_error(domain: Sequence[int], tile_shape: Tuple[int, ...]) -> SimulationError:
     """The error for a ``(ni, nj, nk)`` domain that is not a tile multiple."""
     return SimulationError(

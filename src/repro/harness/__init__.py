@@ -20,6 +20,7 @@ from repro.harness.experiments import (
     clear_study_cache,
     config_from_dict,
     iter_results,
+    resolve_cache_dir,
     resolve_study,
     run_study,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "study_cache_path",
     "render_table2",
     "render_table4",
+    "resolve_cache_dir",
     "resolve_study",
     "result_row",
     "roofline_ascii",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.exec import (
     RetryPolicy,
+    StudyItem,
     TaskFailure,
     map_study_points,
     parallel_map,
@@ -276,7 +277,7 @@ def resolve_study(
     )
 
 
-def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
+def resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
     """``None`` falls back to ``$REPRO_CACHE_DIR`` (empty = off)."""
     # Local import: serialization imports this module for StudyResults.
     from repro.harness import serialization
@@ -284,6 +285,61 @@ def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
     if cache_dir is None:
         return os.environ.get(serialization.CACHE_DIR_ENV) or None
     return cache_dir
+
+
+def study_items(config: ExperimentConfig) -> List[StudyItem]:
+    """The study items ``config`` sweeps, in sweep order.
+
+    One :class:`~repro.dsl.stencil.Stencil` is built per stencil name
+    and shared by all of its items.
+    """
+    platforms = config.platforms()
+    items = []
+    for name in config.stencils:
+        stencil = by_name(name).build()
+        for platform in platforms:
+            for variant in config.variants:
+                items.append((name, stencil, platform, variant, config.domain))
+    return items
+
+
+def assemble_study(
+    config: ExperimentConfig,
+    items: Sequence[StudyItem],
+    outcomes: Sequence[object],
+    done: Optional[Dict[Key, SimulationResult]] = None,
+) -> StudyResults:
+    """Fold per-item outcomes (plus ``done`` results) into a study.
+
+    A :class:`~repro.resilience.TaskFailure` outcome becomes a
+    :class:`FailedPoint`; results are keyed in canonical
+    :meth:`ExperimentConfig.keys` order whatever order they arrived in,
+    so a resumed or micro-batched study iterates like a single-shot
+    one.  Counts ``study.points`` and ``exec.failed_points``.
+    """
+    study = StudyResults(config=config)
+    results: Dict[Key, SimulationResult] = dict(done or {})
+    for item, outcome in zip(items, outcomes):
+        key = study_item_key(item)
+        if isinstance(outcome, TaskFailure):
+            study.failed[key] = FailedPoint(
+                stencil=key[0],
+                platform=key[1],
+                variant=key[2],
+                error_type=outcome.error_type,
+                message=outcome.message,
+                attempts=outcome.attempts,
+                timed_out=outcome.timed_out,
+            )
+        else:
+            results[key] = outcome  # type: ignore[assignment]
+    study.results = {
+        key: results[key] for key in config.keys() if key in results
+    }
+    counter("study.points").inc(len(study.results))
+    if study.failed:
+        counter("exec.failed_points").inc(len(study.failed))
+    return study
 
 
 def _check_parallel(parallel: Optional[int]) -> None:
@@ -344,17 +400,8 @@ def run_study(
 
     _check_parallel(parallel)
     config = config or ExperimentConfig()
-    study = StudyResults(config=config)
-    platforms = config.platforms()  # hoisted: one catalogue per sweep
-    items = []
-    for name in config.stencils:
-        stencil = by_name(name).build()
-        for platform in platforms:
-            for variant in config.variants:
-                items.append(
-                    (name, stencil, platform, variant, config.domain)
-                )
-    cache_dir = _resolve_cache_dir(cache_dir)
+    items = study_items(config)
+    cache_dir = resolve_cache_dir(cache_dir)
 
     done: Dict[Key, SimulationResult] = {}
     if resume and cache_dir:
@@ -420,7 +467,6 @@ def run_study(
         return on_result
 
     with span("run_study", points=len(items), resumed=len(done)) as sp:
-        study.results.update(done)
         if clean:
             map_study_points(
                 [pending[i] for i in clean], on_result=routed(clean)
@@ -433,42 +479,20 @@ def run_study(
                 capture_failures=True,
                 on_result=routed(faulty),
             )
-        for key, outcome in zip(pending_keys, outcomes):
-            if isinstance(outcome, TaskFailure):
-                study.failed[key] = FailedPoint(
-                    stencil=key[0],
-                    platform=key[1],
-                    variant=key[2],
-                    error_type=outcome.error_type,
-                    message=outcome.message,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                )
-            else:
-                study.results[key] = outcome
-        # Canonical key order regardless of the resume prefill, so a
-        # resumed study iterates identically to a single-shot one.
-        study.results = {
-            key: study.results[key]
-            for key in config.keys()
-            if key in study.results
-        }
-        counter("study.points").inc(len(study.results))
-        if study.failed:
-            counter("exec.failed_points").inc(len(study.failed))
-            if sp is not None:
-                sp.set_attr("failed", len(study.failed))
+        study = assemble_study(config, pending, outcomes, done)
+        if study.failed and sp is not None:
+            sp.set_attr("failed", len(study.failed))
         # The last flush also records the failures, so a later
         # ``--resume`` knows which points failed (vs. never ran) — they
         # are always re-attempted, never trusted as results.
         unflushed.update(study.failed)
         if cache_dir and unflushed:
             checkpoint()
-    _ingest_results(study, results_db, source="run_study")
+    ingest_results(study, results_db, source="run_study")
     return study
 
 
-def _ingest_results(
+def ingest_results(
     study: StudyResults, results_db: Optional[str], source: str
 ) -> None:
     """Append ``study`` to the SQLite result store, if one is configured.
@@ -528,7 +552,7 @@ def cached_study(
 
     _check_parallel(parallel)
     config = config or ExperimentConfig()
-    cache_dir = _resolve_cache_dir(cache_dir)
+    cache_dir = resolve_cache_dir(cache_dir)
     hit = config in _STUDY_CACHE
     if hit and resume and not _STUDY_CACHE[config].complete:
         # A degraded sweep is memoised so repeated renders don't

@@ -30,7 +30,6 @@ from repro.obs.export import (
     to_jsonl,
     write_trace,
 )
-from repro.obs.instrument import stage, traced
 from repro.obs.profile import (
     HotSpot,
     ProfileReport,
@@ -125,9 +124,7 @@ __all__ = [
     "span_self_time",
     "span_to_dict",
     "spans_from_dicts",
-    "stage",
     "to_chrome",
     "to_jsonl",
-    "traced",
     "write_trace",
 ]

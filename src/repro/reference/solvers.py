@@ -18,6 +18,7 @@ from repro.dsl.derivatives import laplacian
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
 from repro.gpu.progmodel import Platform
+from repro.gpu.simulator import fitting_tile
 from repro.util import dims_to_shape
 
 
@@ -26,24 +27,6 @@ def _run_kernel(*args, **kwargs):
     from repro.kernels import run
 
     return run(*args, **kwargs)
-
-
-def _tile_for_domain(domain: Tuple[int, int, int], platform: Platform,
-                     radius: int) -> BrickDims:
-    simd = platform.arch.simd_width
-    bi = simd if domain[0] % simd == 0 else _div(domain[0], simd)
-    bj = 4 if domain[1] % 4 == 0 else _div(domain[1], 4)
-    bk = 4 if domain[2] % 4 == 0 else _div(domain[2], 4)
-    dims = BrickDims((bi, bj, bk))
-    dims.check_radius(radius)
-    return dims
-
-
-def _div(n: int, cap: int) -> int:
-    for d in range(min(n, cap), 0, -1):
-        if n % d == 0:
-            return d
-    return 1
 
 
 @dataclass
@@ -78,8 +61,8 @@ class HeatSolver:
         from repro.dsl.shapes import from_weights
 
         self._stencil = from_weights(weights)
-        self._dims = _tile_for_domain(self.domain, self.platform,
-                                      self._stencil.radius)
+        self._dims = fitting_tile(self.domain, self.platform,
+                                  self._stencil.radius)
         r = self._stencil.radius
         self.u = np.zeros(tuple(n + 2 * r for n in dims_to_shape(self.domain)))
 
@@ -133,8 +116,8 @@ class WaveSolver:
         self._lap = laplacian(order=self.order, h=1.0)  # h folded into coeff
         self.dt = self.cfl * self.h / self.c
         self._coeff = (self.c * self.dt / self.h) ** 2
-        self._dims = _tile_for_domain(self.domain, self.platform,
-                                      self._lap.radius)
+        self._dims = fitting_tile(self.domain, self.platform,
+                                  self._lap.radius)
         r = self._lap.radius
         shape = tuple(n + 2 * r for n in dims_to_shape(self.domain))
         self.u_prev = np.zeros(shape)

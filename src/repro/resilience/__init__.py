@@ -11,6 +11,10 @@ harness, and the serving layer:
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seeded
   fault-injection harness for chaos tests and ``--inject-faults``.
 
+:func:`retry_policy` and :func:`dev_fault_plan` turn a user's retry,
+deadline and chaos-seed settings into a policy and a plan, the same way
+for the CLI, the serving layer and the smoke gates.
+
 Every retry, timeout, and injected fault is observable through the
 ``repro.obs`` counters (``exec.retries``, ``exec.timeouts``,
 ``exec.invalid_results``, ``faults.injected.*``).
@@ -22,11 +26,13 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     FaultyFunction,
+    dev_fault_plan,
 )
 from repro.resilience.policy import (
     DEFAULT_POLICY,
     RetryPolicy,
     TaskFailure,
+    retry_policy,
     run_with_policy,
 )
 from repro.resilience.timeouts import call_with_timeout
@@ -41,5 +47,7 @@ __all__ = [
     "RetryPolicy",
     "TaskFailure",
     "call_with_timeout",
+    "dev_fault_plan",
+    "retry_policy",
     "run_with_policy",
 ]

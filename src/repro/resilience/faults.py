@@ -30,13 +30,26 @@ from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 from repro.errors import ExecutionError, TransientError
 from repro.obs import counter
 
-__all__ = ["FAULT_KINDS", "CorruptPayload", "FaultSpec", "FaultPlan", "FaultyFunction"]
+__all__ = [
+    "FAULT_KINDS",
+    "CorruptPayload",
+    "FaultSpec",
+    "FaultPlan",
+    "FaultyFunction",
+    "dev_fault_plan",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Supported fault kinds.
 FAULT_KINDS = ("raise", "hang", "corrupt", "interrupt")
+
+#: Seeded dev-mode chaos rates: transient raises and corrupted payloads
+#: only (no hangs — a hang needs a task timeout to recover, and a dev
+#: flag should never wedge a terminal).
+DEV_RAISE_RATE = 0.06
+DEV_CORRUPT_RATE = 0.03
 
 
 class CorruptPayload:
@@ -186,3 +199,18 @@ class FaultyFunction:
             time.sleep(spec.hang_s)
             return self.fn(item)
         return CorruptPayload()
+
+
+def dev_fault_plan(seed: Optional[int], keys: Tuple[Any, ...]) -> Optional[FaultPlan]:
+    """The seeded dev chaos plan over ``keys``, or ``None`` without a seed.
+
+    One plan for every chaos entry point — the CLI's
+    ``--inject-faults``, a served job's ``inject_faults`` option and
+    ``scripts/bench_smoke.py``'s chaos gate — so they inject the same
+    faults for the same seed.
+    """
+    if seed is None:
+        return None
+    return FaultPlan.seeded(
+        seed, keys, raise_rate=DEV_RAISE_RATE, corrupt_rate=DEV_CORRUPT_RATE
+    )

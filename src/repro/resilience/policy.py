@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.errors import (
     CorruptResultError,
@@ -30,7 +30,13 @@ from repro.errors import (
 from repro.obs import counter, span
 from repro.resilience.timeouts import call_with_timeout
 
-__all__ = ["DEFAULT_POLICY", "RetryPolicy", "TaskFailure", "run_with_policy"]
+__all__ = [
+    "DEFAULT_POLICY",
+    "RetryPolicy",
+    "TaskFailure",
+    "retry_policy",
+    "run_with_policy",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -85,6 +91,25 @@ class RetryPolicy:
 DEFAULT_POLICY = RetryPolicy()
 
 
+def retry_policy(
+    retries: Optional[int] = None, timeout_s: Optional[float] = None
+) -> Optional[RetryPolicy]:
+    """The policy for a user's retry count and per-task deadline.
+
+    ``None`` when neither is given, so the engine keeps its default;
+    the CLI's ``--retries``/``--task-timeout`` and a served job's
+    ``retries``/``task_timeout`` both come through here.
+    """
+    if retries is None and timeout_s is None:
+        return None
+    kwargs: Dict[str, Any] = {}
+    if retries is not None:
+        kwargs["retries"] = retries
+    if timeout_s is not None:
+        kwargs["timeout_s"] = timeout_s
+    return RetryPolicy(**kwargs)
+
+
 @dataclass(frozen=True)
 class TaskFailure:
     """Structured record of one task's permanent failure.
@@ -98,6 +123,17 @@ class TaskFailure:
     message: str
     attempts: int
     timed_out: bool
+
+    @classmethod
+    def from_exception(cls, exc: Exception) -> "TaskFailure":
+        """The record for ``exc``, which may carry an ``attempts`` stamp
+        from :func:`run_with_policy` (absent = one attempt)."""
+        return cls(
+            error_type=type(exc).__name__,
+            message=str(exc),
+            attempts=getattr(exc, "attempts", 1),
+            timed_out=isinstance(exc, TaskTimeoutError),
+        )
 
     def describe(self) -> str:
         note = " (timed out)" if self.timed_out else ""

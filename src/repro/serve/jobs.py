@@ -28,6 +28,13 @@ writes speak the same language.  Only *clean* jobs — no injected
 faults, no synthetic service time — take part in dedup and in the
 orchestrator's micro-batching: a chaos job's degraded result must never
 be served to a tenant who asked for the real study.
+
+A job's retry policy and chaos plan come from
+:func:`repro.resilience.retry_policy` and
+:func:`repro.resilience.dev_fault_plan`, the functions behind the CLI's
+``--retries``/``--task-timeout`` and ``--inject-faults``;
+:func:`run_job_study` runs a solo job's study the same way on both
+execution backends.
 """
 
 from __future__ import annotations
@@ -36,13 +43,13 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.harness.experiments import ExperimentConfig, StudyResults
 from repro.harness.serialization import study_cache_key
 from repro.obs import counter
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy, dev_fault_plan, retry_policy
 
 __all__ = [
     "JOB_STATES",
@@ -50,6 +57,7 @@ __all__ = [
     "Job",
     "JobOptions",
     "reserve_job_ids",
+    "run_job_study",
 ]
 
 #: Every state a job can be in, in lifecycle order.
@@ -67,11 +75,6 @@ _ALLOWED: Dict[str, Tuple[str, ...]] = {
 #: Upper bound on the synthetic per-job service time (a dev/test knob
 #: for backpressure drills must never wedge a worker for minutes).
 MAX_SLEEP_S = 30.0
-
-#: Seeded fault rates for jobs submitted with ``inject_faults`` —
-#: transient kinds only, mirroring the CLI's ``--inject-faults``.
-INJECT_RAISE_RATE = 0.06
-INJECT_CORRUPT_RATE = 0.03
 
 _job_ids = itertools.count(1)
 
@@ -168,25 +171,11 @@ class JobOptions:
 
     def policy(self) -> Optional[RetryPolicy]:
         """The job's retry policy, or ``None`` for the engine default."""
-        if self.retries is None and self.task_timeout is None:
-            return None
-        kwargs: Dict[str, Any] = {}
-        if self.retries is not None:
-            kwargs["retries"] = self.retries
-        if self.task_timeout is not None:
-            kwargs["timeout_s"] = self.task_timeout
-        return RetryPolicy(**kwargs)
+        return retry_policy(self.retries, self.task_timeout)
 
     def fault_plan(self, config: ExperimentConfig) -> Optional[FaultPlan]:
         """The job's seeded chaos plan over its own matrix, or ``None``."""
-        if self.inject_faults is None:
-            return None
-        return FaultPlan.seeded(
-            self.inject_faults,
-            config.keys(),
-            raise_rate=INJECT_RAISE_RATE,
-            corrupt_rate=INJECT_CORRUPT_RATE,
-        )
+        return dev_fault_plan(self.inject_faults, config.keys())
 
     def to_dict(self) -> Dict[str, Any]:
         doc = {
@@ -217,6 +206,29 @@ class JobOptions:
             return cls(**doc)
         except TypeError as exc:
             raise ServeError(f"bad options payload: {exc}") from None
+
+
+def run_job_study(
+    study_fn: Callable[..., StudyResults],
+    config: ExperimentConfig,
+    options: JobOptions,
+    **run_kwargs: Any,
+) -> StudyResults:
+    """Run one served job's study through ``study_fn``.
+
+    The ``sleep_s`` drill first, then ``study_fn(config, ...)`` under
+    the job's retry policy and chaos plan.  Both backends run a solo
+    job through here: the orchestrator's thread workers and the
+    supervisor's worker processes.
+    """
+    if options.sleep_s > 0:
+        time.sleep(options.sleep_s)
+    return study_fn(
+        config,
+        policy=options.policy(),
+        fault_plan=options.fault_plan(config),
+        **run_kwargs,
+    )
 
 
 @dataclass

@@ -21,10 +21,15 @@ Workers micro-batch: after dequeuing a clean job, a worker drains up
 to ``batch_window - 1`` more clean jobs and evaluates all their matrix
 points as ONE batch sweep (:func:`repro.exec.microbatch_study_points`),
 so a burst of small requests pays the batch engine's per-group setup
-once.  Drill jobs (chaos seeds, synthetic service time, poison pills)
-run solo through :func:`repro.harness.run_study`, which gives them the
-full retry/timeout/degradation machinery — a fault-injected job
-degrades into ``FailedPoint`` entries without wedging the queue.
+once.  The items and the per-job fold are the harness's own
+(:func:`~repro.harness.experiments.study_items`,
+:func:`~repro.harness.experiments.assemble_study`), so a fused job's
+study equals a direct :func:`run_study` of its config.  Drill jobs
+(chaos seeds, synthetic service time, poison pills) run solo through
+:func:`~repro.serve.jobs.run_job_study` over :func:`run_study`, which
+gives them the full retry/timeout/degradation machinery — a
+fault-injected job degrades into ``FailedPoint`` entries without
+wedging the queue.
 
 Crash safety (PR 9) is layered on top:
 
@@ -50,20 +55,21 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.dsl.shapes import by_name
 from repro.errors import ServeError, WorkerCrashError
-from repro.exec import TaskFailure, microbatch_study_points, study_item_key
+from repro.exec import microbatch_study_points
 from repro.harness.experiments import (
     ExperimentConfig,
-    FailedPoint,
     StudyResults,
+    assemble_study,
     config_from_dict,
     run_study,
+    study_items,
 )
+from repro.harness.serialization import study_cache_key
 from repro.obs import counter, get_tracer, span
-from repro.serve.jobs import Job, JobOptions, reserve_job_ids
+from repro.serve.jobs import Job, JobOptions, reserve_job_ids, run_job_study
 from repro.serve.journal import JobJournal
 from repro.serve.queue import JobQueue
 from repro.serve.store import ResultStore
@@ -339,11 +345,14 @@ class Orchestrator:
         """
         options = options or JobOptions()
         counter("serve.requests").inc()
+        config_hash = study_cache_key(config)
         with self._lock:
             if options.clean:
                 study = self.store.get(config)
                 if study is not None:
-                    job = Job(config=config, options=options)
+                    job = Job(
+                        config=config, options=options, config_hash=config_hash
+                    )
                     job.state = "done"
                     job.dedup = True
                     job.started_s = job.finished_s = time.time()
@@ -353,11 +362,11 @@ class Orchestrator:
                     counter("serve.jobs.done").inc()
                     self._journal_submit(job, state="done")
                     return job
-                shared = self._inflight.get(self._hash(config))
+                shared = self._inflight.get(config_hash)
                 if shared is not None and shared.options.clean:
                     counter("serve.coalesced").inc()
                     return shared
-            job = Job(config=config, options=options)
+            job = Job(config=config, options=options, config_hash=config_hash)
             self.queue.put(job, retry_after_s=self.retry_after_s())
             self._registry[job.job_id] = job
             if options.clean:
@@ -384,12 +393,6 @@ class Orchestrator:
         if self.journal is None:
             return
         self.journal.record_state(job.job_id, job.state, **kwargs)
-
-    @staticmethod
-    def _hash(config: ExperimentConfig) -> str:
-        from repro.harness.serialization import study_cache_key
-
-        return study_cache_key(config)
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a still-queued job; running/finished jobs refuse."""
@@ -490,10 +493,17 @@ class Orchestrator:
                 job.transition("failed")
                 self._journal_state(job, error=error)
             self._inflight.pop(job.config_hash, None)
-            elapsed = time.monotonic() - t0
-            self._job_ewma_s = (
-                _EWMA_ALPHA * elapsed + (1.0 - _EWMA_ALPHA) * self._job_ewma_s
-            )
+            self._observe_service_time(t0)
+
+    def _observe_service_time(self, t0: float) -> None:
+        """Fold one job's service time since ``t0`` into the EWMA.
+
+        Called under the lock.
+        """
+        elapsed = time.monotonic() - t0
+        self._job_ewma_s = (
+            _EWMA_ALPHA * elapsed + (1.0 - _EWMA_ALPHA) * self._job_ewma_s
+        )
 
     def _solo_run_kwargs(self, job: Job) -> Dict[str, object]:
         """The ``run_study`` kwargs a solo execution of ``job`` needs.
@@ -536,12 +546,8 @@ class Orchestrator:
                         f"sacrificed); job failed gracefully"
                     )
                 else:
-                    if job.options.sleep_s > 0:
-                        time.sleep(job.options.sleep_s)
-                    study = self._run_study(
-                        job.config,
-                        policy=job.options.policy(),
-                        fault_plan=job.options.fault_plan(job.config),
+                    study = run_job_study(
+                        self._run_study, job.config, job.options,
                         **self._solo_run_kwargs(job),
                     )
         except WorkerCrashError as exc:
@@ -578,11 +584,7 @@ class Orchestrator:
                 job.transition("failed")
                 self._journal_state(job, error=job.error, note=job.note)
                 self._inflight.pop(job.config_hash, None)
-                elapsed = time.monotonic() - t0
-                self._job_ewma_s = (
-                    _EWMA_ALPHA * elapsed
-                    + (1.0 - _EWMA_ALPHA) * self._job_ewma_s
-                )
+                self._observe_service_time(t0)
             return
         counter("serve.supervisor.requeued").inc()
         with self._lock:
@@ -609,10 +611,10 @@ class Orchestrator:
                 "serve.microbatch", jobs=len(batch),
                 job_ids=",".join(j.job_id for j in batch),
             ):
-                groups = [self._study_items(job.config) for job in batch]
+                groups = [study_items(job.config) for job in batch]
                 outcome_groups = microbatch_study_points(groups)
             for job, items, outcomes in zip(batch, groups, outcome_groups):
-                study = self._assemble(job.config, items, outcomes)
+                study = assemble_study(job.config, items, outcomes)
                 self._finish(job, study, None, t0)
         except Exception as exc:
             # A batch-wide crash (not a per-point failure — those come
@@ -625,46 +627,3 @@ class Orchestrator:
         finally:
             with self._lock:
                 self._running_jobs -= len(batch)
-
-    @staticmethod
-    def _study_items(config: ExperimentConfig) -> List[Tuple]:
-        """The study-item list ``run_study`` would sweep for ``config``."""
-        platforms = config.platforms()
-        return [
-            (name, by_name(name).build(), platform, variant, config.domain)
-            for name in config.stencils
-            for platform in platforms
-            for variant in config.variants
-        ]
-
-    @staticmethod
-    def _assemble(
-        config: ExperimentConfig,
-        items: Sequence[Tuple],
-        outcomes: Sequence[object],
-    ) -> StudyResults:
-        """Fold batch outcomes into a :class:`StudyResults` (sweep order)."""
-        study = StudyResults(config=config)
-        for item, outcome in zip(items, outcomes):
-            key = study_item_key(item)
-            if isinstance(outcome, TaskFailure):
-                study.failed[key] = FailedPoint(
-                    stencil=key[0],
-                    platform=key[1],
-                    variant=key[2],
-                    error_type=outcome.error_type,
-                    message=outcome.message,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                )
-            else:
-                study.results[key] = outcome  # type: ignore[assignment]
-        study.results = {
-            key: study.results[key]
-            for key in config.keys()
-            if key in study.results
-        }
-        counter("study.points").inc(len(study.results))
-        if study.failed:
-            counter("exec.failed_points").inc(len(study.failed))
-        return study

@@ -23,9 +23,11 @@ Traffic is counted as ``serve.store.hits`` / ``serve.store.misses``
 With a ``results_db`` (or ``$REPRO_RESULTS_DB``), every study entering
 the store — computed by a job or warm-started from disk — is also
 appended to the SQLite result store (:mod:`repro.results`), so served
-results land in the same queryable history as CLI sweeps.  Ingestion is
-best-effort and deduplicated: a store failure counts
-``results.ingest_errors`` but never fails the serving path.
+results land in the same queryable history as CLI sweeps, through the
+same :func:`~repro.harness.experiments.ingest_results` call
+:func:`~repro.harness.run_study` makes.  Ingestion is best-effort and
+deduplicated: a store failure counts ``results.ingest_errors`` but
+never fails the serving path.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro.harness.experiments import ExperimentConfig, StudyResults
+from repro.harness.experiments import (
+    ExperimentConfig,
+    StudyResults,
+    ingest_results,
+)
 from repro.harness.serialization import (
     load_study_cache,
     save_study_cache,
@@ -57,25 +63,10 @@ class ResultStore:
         cache_dir: Optional[str] = None,
         results_db: Optional[str] = None,
     ) -> None:
-        from repro.results import resolve_results_db
-
         self.cache_dir = cache_dir or None
-        self.results_db = resolve_results_db(results_db)
+        self.results_db = results_db
         self._lock = threading.RLock()
         self._memory: Dict[str, StudyResults] = {}
-
-    def _ingest(self, study: StudyResults, source: str) -> None:
-        """Best-effort append to the SQLite result store (if configured)."""
-        if not self.results_db:
-            return
-        from repro.errors import ResultStoreError
-        from repro.results import ResultsStore
-
-        try:
-            with ResultsStore(self.results_db) as store:
-                store.ingest_study(study, source=source)
-        except (OSError, ResultStoreError):
-            counter("results.ingest_errors").inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -105,7 +96,7 @@ class ResultStore:
                 study = self._promote(key, study)
                 counter("serve.store.hits").inc()
                 counter("serve.store.disk_hits").inc()
-                self._ingest(study, source="serve.promote")
+                ingest_results(study, self.results_db, source="serve.promote")
                 return study
         counter("serve.store.misses").inc()
         return None
@@ -134,5 +125,5 @@ class ResultStore:
             self._memory[key] = study
         if self.cache_dir:
             save_study_cache(study, self.cache_dir)
-        self._ingest(study, source="serve.put")
+        ingest_results(study, self.results_db, source="serve.put")
         return True

@@ -10,8 +10,8 @@ module is the containment layer the ``--backend process`` flag buys:
 * each worker is a real OS **process** (``multiprocessing.Process``)
   running :func:`_worker_main` — a loop that receives one job at a
   time over a pipe, runs it through the same
-  :func:`~repro.harness.experiments.run_study` path as the thread
-  backend (checkpoints, retries and fault plans included), and ships
+  :func:`~repro.serve.jobs.run_job_study` call as the thread backend
+  (checkpoints, retries and fault plans included), and ships
   the study back *with its counters and spans* (captured and merged by
   :func:`repro.obs.capture_counters` /
   :func:`repro.obs.merge_observations`, so telemetry is
@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError, TaskTimeoutError, WorkerCrashError
 from repro.obs import counter, merge_observations
-from repro.serve.jobs import Job
+from repro.serve.jobs import Job, run_job_study
 
 __all__ = ["Supervisor", "WorkerHandle"]
 
@@ -107,14 +107,7 @@ def _worker_main(conn: Any, heartbeat: Any) -> None:
         registry = obs.set_registry(obs.MetricsRegistry())
         tracer = obs.set_tracer(obs.Tracer(enabled=run_kwargs.pop("trace", False)))
         try:
-            if options.sleep_s > 0:
-                time.sleep(options.sleep_s)
-            study = run_study(
-                config,
-                policy=options.policy(),
-                fault_plan=options.fault_plan(config),
-                **run_kwargs,
-            )
+            study = run_job_study(run_study, config, options, **run_kwargs)
             reply: Tuple[Any, ...] = ("done", study)
         except Exception as exc:
             reply = ("error", f"{type(exc).__name__}: {exc}")

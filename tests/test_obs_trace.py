@@ -310,32 +310,3 @@ class TestMetrics:
             t.join()
         assert c.value == 40_000
 
-
-class TestInstrumentHelpers:
-    def test_traced_decorator(self):
-        prev = obs.get_tracer()
-        tracer = obs.set_tracer(obs.Tracer(enabled=True))
-        try:
-            @obs.traced("my.op", flavour="test")
-            def add(a, b):
-                return a + b
-
-            assert add(2, 3) == 5
-            (root,) = tracer.roots()
-            assert root.name == "my.op"
-            assert root.attrs == {"flavour": "test"}
-        finally:
-            obs.set_tracer(prev)
-
-    def test_stage_records_histogram_even_untraced(self):
-        prev_t, prev_r = obs.get_tracer(), obs.get_registry()
-        obs.set_tracer(obs.Tracer(enabled=False))
-        reg = obs.set_registry(obs.MetricsRegistry())
-        try:
-            with obs.stage("demo"):
-                pass
-            h = reg.get("stage.demo.seconds")
-            assert h.count == 1
-        finally:
-            obs.set_tracer(prev_t)
-            obs.set_registry(prev_r)

@@ -383,6 +383,36 @@ class TestOrchestrator:
         for config, job in zip((SMALL, OTHER), jobs):
             assert job.study.results == harness.run_study(config).results
 
+    def test_microbatched_failed_points_match_direct_run(
+        self, registry, tmp_path
+    ):
+        # A 16-wide domain fails the tile check on the four 32- and
+        # 64-wide columns and fits PVC-SYCL: a clean job that degrades.
+        tiny = ExperimentConfig(
+            stencils=("7pt",), variants=("array",), domain=(16, 4, 4)
+        )
+        points = registry.counter("study.points")
+        failed = registry.counter("exec.failed_points")
+        direct = [harness.run_study(c) for c in (tiny, SMALL)]
+        assert (len(direct[0].results), len(direct[0].failed)) == (1, 4)
+        moved = (points.value, failed.value)
+
+        orch = Orchestrator(ResultStore(), workers=1, batch_window=4)
+        jobs = [orch.submit(c) for c in (tiny, SMALL)]
+        orch.start()
+        try:
+            assert wait_for(lambda: all(j.finished for j in jobs))
+        finally:
+            orch.stop()
+        assert registry.counter("serve.microbatch.jobs").value == 2
+        assert (points.value, failed.value) == (2 * moved[0], 2 * moved[1])
+        for study, job in zip(direct, jobs):
+            harness.dump_study(study, str(tmp_path / "direct.json"))
+            harness.dump_study(job.study, str(tmp_path / "served.json"))
+            assert (tmp_path / "served.json").read_bytes() == (
+                tmp_path / "direct.json"
+            ).read_bytes()
+
     def test_fault_job_degrades_without_wedging_the_queue(self, registry):
         orch = Orchestrator(ResultStore(), workers=1)
         chaos = orch.submit(

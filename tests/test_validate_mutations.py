@@ -101,7 +101,7 @@ class TestResumeMutation:
             from repro.harness import serialization
 
             config = config or experiments.ExperimentConfig()
-            cache_dir = experiments._resolve_cache_dir(cache_dir)
+            cache_dir = experiments.resolve_cache_dir(cache_dir)
             if config not in experiments._STUDY_CACHE:
                 study = None
                 if cache_dir:
