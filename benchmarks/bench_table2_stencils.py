@@ -7,24 +7,16 @@ analysing their geometry/coefficient structure.
 from conftest import emit
 
 from repro import harness
-
-#: Paper Table 2, exactly.
-PAPER = {
-    "7pt": ("star", 1, 7, 2),
-    "13pt": ("star", 2, 13, 3),
-    "19pt": ("star", 3, 19, 4),
-    "25pt": ("star", 4, 25, 5),
-    "27pt": ("cube", 1, 27, 4),
-    "125pt": ("cube", 2, 125, 10),
-}
+from repro.dsl.shapes import by_name
 
 
 def test_table2(benchmark):
     rows = benchmark(harness.table2)
     emit("Table 2 (stencil catalog)", harness.render_table2())
     for r in rows:
-        shape, radius, points, coeffs = PAPER[r["name"]]
-        assert r["shape"] == shape
-        assert r["radius"] == radius
-        assert r["points"] == points
-        assert r["unique_coefficients"] == coeffs
+        # The declared catalog row (the paper's Table 2) vs the analysis.
+        case = by_name(r["name"])
+        assert r["shape"] == case.shape
+        assert r["radius"] == case.radius
+        assert r["points"] == case.points
+        assert r["unique_coefficients"] == case.unique_coefficients

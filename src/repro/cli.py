@@ -183,8 +183,7 @@ def _report(args) -> int:
     db_path = resolve_results_db(args.results_db)
     try:
         provider = (
-            StoreProvider(db_path, config=study.config)
-            if db_path else DirectProvider(study)
+            StoreProvider(db_path) if db_path else DirectProvider(study)
         )
         golden = (
             None if args.no_golden
@@ -513,7 +512,6 @@ def _serve(args) -> int:
         ResultStore(cache_dir, results_db=args.results_db),
         queue_limit=args.queue_limit,
         workers=args.workers,
-        batch_window=args.batch_window,
         journal=args.journal,
         backend=args.backend,
         job_deadline_s=args.job_deadline,
@@ -533,7 +531,6 @@ def _serve(args) -> int:
         f"serving on http://{args.host}:{server.port}  "
         f"(workers={args.workers}, backend={args.backend}, "
         f"queue-limit={args.queue_limit}, "
-        f"batch-window={args.batch_window}, "
         f"cache={cache_dir or 'memory-only'}, "
         f"journal={args.journal or 'none'})",
         flush=True,
@@ -918,11 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=32, metavar="N",
         help="bounded job-queue depth; overflow is rejected with "
         "HTTP 429 + Retry-After (default 32)",
-    )
-    p.add_argument(
-        "--batch-window", type=int, default=8, metavar="N",
-        help="max clean jobs fused into one vectorized micro-batch "
-        "(1 disables micro-batching; default 8)",
     )
     p.add_argument(
         "--journal", metavar="PATH", default=None,

@@ -43,20 +43,11 @@ class ProgramCost:
         """Executed FLOPs per tile: Adds are 1 FLOP/lane, Macs (FMA) are 2."""
         return (self.adds + 2 * self.macs) * self.vl
 
-    @property
-    def fp_ops(self) -> int:
-        """Floating-point instructions per tile (adds + FMAs)."""
-        return self.adds + self.macs
-
     def load_lanes(self) -> int:
         """Lanes of data requested from memory per tile."""
         return (
             (self.loads_aligned + self.loads_unaligned) * self.vl + self.halo_lanes
         )
-
-    def per_point(self, field: str) -> float:
-        """A count normalised per output grid point."""
-        return getattr(self, field) / self.tile_points
 
 
 def cost_of(program: VectorProgram) -> ProgramCost:

@@ -11,7 +11,7 @@ construction rather than symbolic placeholders.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.dsl.shapes import from_weights
 from repro.dsl.stencil import Offset, Stencil
@@ -96,21 +96,3 @@ def biharmonic(ndim: int = 3, h: float = 1.0) -> Stencil:
     lap = laplacian(order=2, ndim=ndim, h=h)
     return compose(lap, lap)
 
-
-def verify_order(stencil: Stencil, h: float = 1.0) -> Tuple[float, float]:
-    """Apply the stencil to a quadratic and quartic monomial field.
-
-    Returns the absolute error of the stencil acting on ``x^2`` (should
-    be ~2 for any Laplacian) — a quick sanity diagnostic used in tests.
-    """
-    import numpy as np
-
-    n = 16
-    x = (np.arange(n) - n / 2)[None, None, :] * h
-    field = np.broadcast_to(x**2, (n, n, n)).astype(np.float64)
-    from repro.reference.naive import apply_interior
-
-    r = stencil.radius
-    out = apply_interior(stencil, field, {})
-    centre = out[n // 2 - r, n // 2 - r, n // 2 - r]
-    return abs(centre - 2.0), centre

@@ -324,10 +324,6 @@ class CacheSim:
         """Bytes fetched from the next level so far (line fills)."""
         return self.stats.fills * self.line_bytes
 
-    @property
-    def writeback_bytes(self) -> int:
-        return self.stats.writebacks * self.line_bytes
-
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets)
 

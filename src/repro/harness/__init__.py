@@ -21,7 +21,6 @@ from repro.harness.experiments import (
     config_from_dict,
     iter_results,
     resolve_cache_dir,
-    resolve_study,
     run_study,
 )
 from repro.harness.figures import (
@@ -111,7 +110,6 @@ __all__ = [
     "render_table2",
     "render_table4",
     "resolve_cache_dir",
-    "resolve_study",
     "result_row",
     "roofline_ascii",
     "run_study",

@@ -249,34 +249,6 @@ class StudyResults:
         return len(self.results)
 
 
-def resolve_study(
-    source: "StudyResults | object", config: Optional[ExperimentConfig] = None
-) -> StudyResults:
-    """Accept a :class:`StudyResults` or a data provider.
-
-    The table/figure renderers take either the in-memory study they
-    always took, or anything satisfying the
-    :class:`repro.results.DataProvider` protocol (duck-typed here to
-    keep the harness free of a ``repro.results`` import): an object
-    with a ``study(config)`` method returning a :class:`StudyResults`.
-    """
-    if isinstance(source, StudyResults):
-        return source
-    study_fn = getattr(source, "study", None)
-    if callable(study_fn):
-        study = study_fn(config)
-        if isinstance(study, StudyResults):
-            return study
-        raise MetricError(
-            f"provider {type(source).__name__}.study() returned "
-            f"{type(study).__name__}, expected StudyResults"
-        )
-    raise MetricError(
-        f"cannot render from {type(source).__name__}: expected a "
-        f"StudyResults or a DataProvider with a study() method"
-    )
-
-
 def resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
     """``None`` falls back to ``$REPRO_CACHE_DIR`` (empty = off)."""
     # Local import: serialization imports this module for StudyResults.

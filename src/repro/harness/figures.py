@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 
 from repro.dsl.analysis import compulsory_bytes
 from repro.dsl.shapes import by_name
-from repro.harness.experiments import StudyResults, resolve_study
+from repro.harness.experiments import StudyResults
 from repro.metrics.correlation import CorrelationModel, correlate
 from repro.metrics.efficiency import fraction_of_roofline, fraction_of_theoretical_ai
 from repro.metrics.speedup import SpeedupPoint
@@ -52,15 +52,12 @@ class RooflinePanel:
         return "\n".join(lines)
 
 
-def fig3(source) -> List[RooflinePanel]:
+def fig3(study: StudyResults) -> List[RooflinePanel]:
     """All Roofline panels (one per platform column).
 
-    ``source`` is a :class:`StudyResults` or any data provider with a
-    ``study()`` method (see :mod:`repro.results.provider`).  Failed
-    matrix points (``study.failed``) are skipped — the panel simply has
-    a gap where the kernel could not be simulated.
+    Failed matrix points (``study.failed``) are skipped — the panel
+    simply has a gap where the kernel could not be simulated.
     """
-    study = resolve_study(source)
     panels = []
     for plat in study.config.platforms():
         roof = empirical_roofline(plat)
@@ -82,9 +79,8 @@ def fig3(source) -> List[RooflinePanel]:
 # ---------------------------------------------------------------------------
 
 
-def fig4(source) -> Dict[str, Dict[str, List[Tuple[str, float]]]]:
+def fig4(study: StudyResults) -> Dict[str, Dict[str, List[Tuple[str, float]]]]:
     """platform -> variant -> [(stencil, L1 GB)], lower is better."""
-    study = resolve_study(source)
     out: Dict[str, Dict[str, List[Tuple[str, float]]]] = {}
     for pname in study.platform_names():
         out[pname] = {}
@@ -97,8 +93,8 @@ def fig4(source) -> Dict[str, Dict[str, List[Tuple[str, float]]]]:
     return out
 
 
-def render_fig4(source) -> str:
-    data = fig4(resolve_study(source))
+def render_fig4(study: StudyResults) -> str:
+    data = fig4(study)
     lines = ["Figure 4: L1 data movement (GB, lower is better)"]
     for pname, variants in data.items():
         lines.append(f"  {pname}:")
@@ -130,18 +126,18 @@ def _paired(study: StudyResults, y_platform: str, x_platform: str):
     )
 
 
-def fig5(source) -> Tuple[CorrelationModel, CorrelationModel]:
+def fig5(study: StudyResults) -> Tuple[CorrelationModel, CorrelationModel]:
     """A100: CUDA (y) vs SYCL (x) — performance and bytes accessed."""
-    cuda, sycl = _paired(resolve_study(source), "A100-CUDA", "A100-SYCL")
+    cuda, sycl = _paired(study, "A100-CUDA", "A100-SYCL")
     return (
         correlate(cuda, sycl, quantity="gflops"),
         correlate(cuda, sycl, quantity="hbm_gbytes"),
     )
 
 
-def fig6(source) -> Tuple[CorrelationModel, CorrelationModel]:
+def fig6(study: StudyResults) -> Tuple[CorrelationModel, CorrelationModel]:
     """MI250X: HIP (y) vs SYCL (x) — performance and bytes accessed."""
-    hip, sycl = _paired(resolve_study(source), "MI250X-HIP", "MI250X-SYCL")
+    hip, sycl = _paired(study, "MI250X-HIP", "MI250X-SYCL")
     return (
         correlate(hip, sycl, quantity="gflops"),
         correlate(hip, sycl, quantity="hbm_gbytes"),
@@ -173,9 +169,10 @@ def render_correlation(model: CorrelationModel, domain=(512, 512, 512)) -> str:
 # ---------------------------------------------------------------------------
 
 
-def fig7(source, variant: str = "bricks_codegen") -> List[SpeedupPoint]:
+def fig7(
+    study: StudyResults, variant: str = "bricks_codegen"
+) -> List[SpeedupPoint]:
     """All platforms' bricks-codegen kernels on the potential-speed-up plane."""
-    study = resolve_study(source)
     rooflines = {p.name: empirical_roofline(p) for p in study.config.platforms()}
     pts = []
     for name in study.config.stencils:
@@ -194,8 +191,8 @@ def fig7(source, variant: str = "bricks_codegen") -> List[SpeedupPoint]:
     return pts
 
 
-def render_fig7(source) -> str:
-    pts = fig7(resolve_study(source))
+def render_fig7(study: StudyResults) -> str:
+    pts = fig7(study)
     lines = ["Figure 7: potential speed-up plane (bricks codegen)",
              f"{'kernel':>22} {'AI frac':>8} {'roof frac':>10} {'potential':>10} {'band':>7}"]
     for p in sorted(pts, key=lambda p: p.label):

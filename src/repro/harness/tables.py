@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.analysis import analyze, theoretical_ai
 from repro.dsl.shapes import TABLE2, by_name
-from repro.harness.experiments import StudyResults, resolve_study
+from repro.harness.experiments import StudyResults
 from repro.metrics.efficiency import fraction_of_roofline, fraction_of_theoretical_ai
 from repro.metrics.pennycook import aggregate_portability, performance_portability
 from repro.roofline.mixbench import empirical_roofline
@@ -160,29 +160,20 @@ def _portability_table(
     )
 
 
-def table3(source) -> PortabilityTable:
-    """Table 3: P based on fraction of the (empirical) Roofline.
-
-    ``source`` is a :class:`StudyResults` or any data provider with a
-    ``study()`` method (see :mod:`repro.results.provider`) — tables
-    render identically from a live sweep or a store reconstruction.
-    """
+def table3(study: StudyResults) -> PortabilityTable:
+    """Table 3: P based on fraction of the (empirical) Roofline."""
     return _portability_table(
-        resolve_study(source),
+        study,
         lambda res, stencil, roof: fraction_of_roofline(res, roof),
         "Table 3: performance portability from fraction of Roofline "
         "(bricks codegen)",
     )
 
 
-def table5(source) -> PortabilityTable:
-    """Table 5: P based on fraction of theoretical arithmetic intensity.
-
-    Accepts a :class:`StudyResults` or a data provider, like
-    :func:`table3`.
-    """
+def table5(study: StudyResults) -> PortabilityTable:
+    """Table 5: P based on fraction of theoretical arithmetic intensity."""
     return _portability_table(
-        resolve_study(source),
+        study,
         lambda res, stencil, roof: fraction_of_theoretical_ai(res, stencil),
         "Table 5: performance portability from fraction of theoretical AI "
         "(bricks codegen)",

@@ -1,10 +1,12 @@
 """Retry policy and the resilient task runner.
 
 :class:`RetryPolicy` is the single knob bundle for fault-tolerant
-execution: how many times to retry, how long to back off, the per-task
-deadline, which exception types count as *transient* (retryable), and
-an optional result validator that turns corrupted payloads into
-retries.
+execution: how many times to retry, the first backoff, the per-task
+deadline, and an optional result validator that turns corrupted
+payloads into retries.  The rest is fixed here: which exception types
+count as *transient* (:data:`RETRYABLE`), that timeouts retry, and the
+backoff's growth (:data:`BACKOFF_FACTOR`) and cap
+(:data:`MAX_BACKOFF_S`).
 
 :func:`run_with_policy` is the runner :func:`repro.exec.parallel_map`
 applies to each of a sweep's fault-injected points, in-process; every
@@ -31,7 +33,10 @@ from repro.obs import counter, span
 from repro.resilience.timeouts import call_with_timeout
 
 __all__ = [
+    "BACKOFF_FACTOR",
     "DEFAULT_POLICY",
+    "MAX_BACKOFF_S",
+    "RETRYABLE",
     "RetryPolicy",
     "TaskFailure",
     "retry_policy",
@@ -40,6 +45,14 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Each retry's backoff is this multiple of the one before ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this cap (seconds).
+MAX_BACKOFF_S = 2.0
+#: Exception types that count as transient, so retrying them can help.
+#: Timeouts (:class:`TaskTimeoutError`) and invalid payloads retry too.
+RETRYABLE: Tuple[Type[BaseException], ...] = (TransientError, OSError)
 
 
 @dataclass(frozen=True)
@@ -54,11 +67,7 @@ class RetryPolicy:
 
     retries: int = 2
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 2.0
     timeout_s: Optional[float] = None
-    retry_timeouts: bool = True
-    retryable: Tuple[Type[BaseException], ...] = (TransientError, OSError)
     validate: Optional[Callable[[Any], bool]] = None
 
     def __post_init__(self) -> None:
@@ -66,18 +75,17 @@ class RetryPolicy:
             raise ExecutionError(
                 f"retry count cannot be negative, got {self.retries}"
             )
-        if self.backoff_s < 0 or self.backoff_factor < 1.0:
+        if self.backoff_s < 0:
             raise ExecutionError(
-                "backoff must be non-negative with factor >= 1, got "
-                f"{self.backoff_s}s x {self.backoff_factor}"
+                f"backoff must be non-negative, got {self.backoff_s}s"
             )
 
     def delay_s(self, retry: int) -> float:
         """Backoff before the ``retry``-th retry (1-based), capped."""
         if retry < 1:
             raise ExecutionError(f"retry numbers are 1-based, got {retry}")
-        raw = self.backoff_s * self.backoff_factor ** (retry - 1)
-        return min(raw, self.max_backoff_s)
+        raw = self.backoff_s * BACKOFF_FACTOR ** (retry - 1)
+        return min(raw, MAX_BACKOFF_S)
 
     def with_validate(self, validate: Callable[[Any], bool]) -> "RetryPolicy":
         """This policy with a validator (no-op if one is already set)."""
@@ -146,23 +154,22 @@ class TaskFailure:
 def run_with_policy(fn: Callable[[T], R], item: T, policy: RetryPolicy) -> R:
     """Run one task under a retry policy; raise only when it is exhausted.
 
-    Transient errors (``policy.retryable``), timeouts (when
-    ``policy.retry_timeouts``), and validation failures are retried
-    with exponential backoff; anything else — a deterministic model
-    error — propagates immediately.  The final exception carries an
-    ``attempts`` attribute with the total attempt count.
+    Transient errors (:data:`RETRYABLE`), timeouts, and validation
+    failures are retried with exponential backoff; anything else — a
+    deterministic model error — propagates immediately.  The final
+    exception carries an ``attempts`` attribute with the total attempt
+    count.
     """
     attempt = 0
     while True:
         attempt += 1
-        timed_out = False
         error: BaseException
         try:
             result = call_with_timeout(fn, item, policy.timeout_s)
         except TaskTimeoutError as exc:
             counter("exec.timeouts").inc()
-            error, timed_out = exc, True
-        except policy.retryable as exc:
+            error = exc
+        except RETRYABLE as exc:
             error = exc
         except Exception as exc:
             # Deterministic (non-retryable) error: propagate immediately,
@@ -176,7 +183,7 @@ def run_with_policy(fn: Callable[[T], R], item: T, policy: RetryPolicy) -> R:
             error = CorruptResultError(
                 f"task returned an invalid payload: {result!r:.120}"
             )
-        if attempt > policy.retries or (timed_out and not policy.retry_timeouts):
+        if attempt > policy.retries:
             error.attempts = attempt  # type: ignore[attr-defined]
             raise error
         counter("exec.retries").inc()

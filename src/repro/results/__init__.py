@@ -1,14 +1,13 @@
 """Queryable result store + programmatic report generation.
 
 The source of truth for study results across runs: a schema-versioned
-SQLite database (:mod:`repro.results.store`), a provider protocol that
-lets every renderer consume either live studies or store
-reconstructions interchangeably (:mod:`repro.results.provider`), and
-the report generator that emits the full reproduction artifact from
-either (:mod:`repro.results.report`).
+SQLite database (:mod:`repro.results.store`), the two report sources —
+a live study or a store reconstruction (:mod:`repro.results.provider`)
+— and the report generator that emits the full reproduction artifact
+from either (:mod:`repro.results.report`).
 """
 
-from repro.results.provider import DataProvider, DirectProvider, StoreProvider
+from repro.results.provider import DirectProvider, StoreProvider
 from repro.results.report import (
     drift_md,
     experiments_md,
@@ -29,7 +28,6 @@ from repro.results.store import (
 __all__ = [
     "RESULTS_DB_ENV",
     "RESULTS_SCHEMA_VERSION",
-    "DataProvider",
     "DirectProvider",
     "IngestOutcome",
     "ResultsStore",

@@ -1,12 +1,13 @@
-"""Data providers: one interface between renderers and result sources.
+"""Report sources: where :func:`~repro.results.report.generate_report`
+gets its study.
 
-Every renderer in :mod:`repro.harness.tables` / ``figures`` accepts
-either a live :class:`~repro.harness.experiments.StudyResults` or
-anything satisfying :class:`DataProvider` — the protocol this module
-defines and both concrete sources implement:
+Every table, figure and report renderer takes a
+:class:`~repro.harness.experiments.StudyResults`.  Only
+``generate_report`` takes a source, and it resolves it once with
+``source.study(config)``:
 
-* :class:`DirectProvider` — wraps an in-memory study (or a thunk that
-  produces one, e.g. ``cached_study``): the "just ran the sweep" path;
+* :class:`DirectProvider` — holds one in-memory study: the "just ran
+  the sweep" path;
 * :class:`StoreProvider` — answers from a :class:`~repro.results.store.
   ResultsStore` database, reconstructing studies without re-simulating.
 
@@ -18,73 +19,29 @@ rendered through a ``DirectProvider`` over the original study.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Union, runtime_checkable
+from typing import Optional, Union
 
 from repro.errors import ResultStoreError
 from repro.harness.experiments import ExperimentConfig, StudyResults
-from repro.harness.reporting import result_row
 from repro.results.store import ResultsStore
 
-__all__ = ["DataProvider", "DirectProvider", "StoreProvider"]
-
-
-@runtime_checkable
-class DataProvider(Protocol):
-    """What a result source must answer for the report generator."""
-
-    def study(self, config: Optional[ExperimentConfig] = None) -> StudyResults:
-        """The study for ``config`` (None = the provider's default)."""
-        ...
-
-    def rows(self, config: Optional[ExperimentConfig] = None) -> List[Dict[str, Any]]:
-        """Flat typed rows (the CSV schema) of that study."""
-        ...
+__all__ = ["DirectProvider", "StoreProvider"]
 
 
 class DirectProvider:
-    """Serve a study already in memory (or produced on demand).
+    """Serve the one study already in memory."""
 
-    ``source`` is either the :class:`StudyResults` itself or a
-    zero/one-argument callable returning one (``cached_study`` and
-    ``run_study`` both fit); the result is memoised per configuration.
-    """
-
-    def __init__(
-        self,
-        source: Union[StudyResults, Callable[..., StudyResults]],
-        config: Optional[ExperimentConfig] = None,
-    ) -> None:
-        self._source = source
-        if config is None and isinstance(source, StudyResults):
-            config = source.config
-        self._default = config if config is not None else ExperimentConfig()
-        self._cache: Dict[ExperimentConfig, StudyResults] = {}
-        if isinstance(source, StudyResults):
-            self._cache[source.config] = source
+    def __init__(self, study: StudyResults) -> None:
+        self._study = study
 
     def study(self, config: Optional[ExperimentConfig] = None) -> StudyResults:
-        config = config or self._default
-        if config not in self._cache:
-            if isinstance(self._source, StudyResults):
-                raise ResultStoreError(
-                    f"provider holds the study for "
-                    f"{self._source.config}, not {config}"
-                )
-            try:
-                study = self._source(config)
-            except TypeError:
-                study = self._source()
-            if not isinstance(study, StudyResults) or study.config != config:
-                raise ResultStoreError(
-                    f"study source returned "
-                    f"{getattr(study, 'config', type(study))} for {config}"
-                )
-            self._cache[config] = study
-        return self._cache[config]
-
-    def rows(self, config: Optional[ExperimentConfig] = None) -> List[Dict[str, Any]]:
-        study = self.study(config)
-        return [result_row(r) for r in study.results.values()]
+        """The held study; ``config``, when given, must be its config."""
+        if config is not None and config != self._study.config:
+            raise ResultStoreError(
+                f"provider holds the study for {self._study.config}, "
+                f"not {config}"
+            )
+        return self._study
 
 
 class StoreProvider:
@@ -92,38 +49,26 @@ class StoreProvider:
 
     ``source`` is a database path or an open :class:`ResultsStore`
     (paths are opened read-intent: a missing file raises instead of
-    materialising an empty history).  Reconstructions are memoised, so
-    rendering many artifacts from one provider hits SQLite once.
+    materialising an empty history).
     """
 
-    def __init__(
-        self,
-        source: Union[str, ResultsStore],
-        config: Optional[ExperimentConfig] = None,
-    ) -> None:
+    def __init__(self, source: Union[str, ResultsStore]) -> None:
         if isinstance(source, str):
             source = ResultsStore(source, create=False)
         self._store = source
-        self._default = config if config is not None else ExperimentConfig()
-        self._cache: Dict[ExperimentConfig, StudyResults] = {}
 
     @property
     def store(self) -> ResultsStore:
         return self._store
 
     def study(self, config: Optional[ExperimentConfig] = None) -> StudyResults:
-        config = config or self._default
-        if config not in self._cache:
-            study = self._store.load_study(config)
-            if study is None:
-                raise ResultStoreError(
-                    f"result database {self._store.path} holds no study "
-                    f"for {config}; ingest one first (run_study with a "
-                    f"results_db, or `repro-stencil study --results-db`)"
-                )
-            self._cache[config] = study
-        return self._cache[config]
-
-    def rows(self, config: Optional[ExperimentConfig] = None) -> List[Dict[str, Any]]:
-        study = self.study(config)
-        return [result_row(r) for r in study.results.values()]
+        """The stored study for ``config`` (None = the paper's matrix)."""
+        config = config or ExperimentConfig()
+        study = self._store.load_study(config)
+        if study is None:
+            raise ResultStoreError(
+                f"result database {self._store.path} holds no study "
+                f"for {config}; ingest one first (run_study with a "
+                f"results_db, or `repro-stencil study --results-db`)"
+            )
+        return study

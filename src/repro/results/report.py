@@ -2,10 +2,14 @@
 
 ``repro-stencil report`` renders everything the paper reproduction
 produces — Tables 2–5, the Figure 3–7 series, EXPERIMENTS.md, and a
-drift commentary against the golden baseline — from a
-:class:`~repro.results.provider.DataProvider`, so the same code path
-serves both a freshly-run study (:class:`DirectProvider`) and a study
-reconstructed from the SQLite result store (:class:`StoreProvider`).
+drift commentary against the golden baseline.  Every renderer takes a
+:class:`~repro.harness.experiments.StudyResults`; only
+:func:`generate_report` takes a source (:class:`~repro.results.provider.
+DirectProvider` for a freshly-run study, :class:`~repro.results.provider.
+StoreProvider` for one reconstructed from the SQLite result store) and
+resolves it once.  The paper values every comparison reads live here
+too, with :func:`speedups_over_array`, the one copy of the headline
+codegen speed-ups.
 
 Nothing here embeds timestamps, hostnames, or store row-ids: the
 artifact is a pure function of the study's numbers, which is what makes
@@ -15,9 +19,10 @@ the CI byte-identity gate (store-rendered == direct-rendered) possible.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.harness.experiments import ExperimentConfig, StudyResults, resolve_study
+from repro.dsl.shapes import by_name
+from repro.harness.experiments import ExperimentConfig, StudyResults
 from repro.harness.figures import (
     fig3,
     fig4,
@@ -38,7 +43,10 @@ from repro.harness.tables import (
     table4,
     table5,
 )
-from repro.validate.golden import DEFAULT_GOLDEN_PATH, load_golden
+from repro.validate.golden import DEFAULT_GOLDEN_PATH, config_doc, load_golden
+
+if TYPE_CHECKING:
+    from repro.results.provider import DirectProvider, StoreProvider
 
 __all__ = [
     "PAPER_CODEGEN_GAINS",
@@ -50,6 +58,7 @@ __all__ = [
     "experiments_md",
     "figures_txt",
     "generate_report",
+    "speedups_over_array",
     "tables_txt",
     "write_report",
 ]
@@ -95,11 +104,37 @@ PAPER_CODEGEN_GAINS = {
 }
 
 STENCILS = ("7pt", "13pt", "19pt", "25pt", "27pt", "125pt")
+STAR_STENCILS = ("7pt", "13pt", "19pt", "25pt")
+CUBE_STENCILS = ("27pt", "125pt")
 
 
-def tables_txt(source, config: Optional[ExperimentConfig] = None) -> str:
+def speedups_over_array(
+    study: StudyResults, variant: str = "bricks_codegen"
+) -> Dict[str, Tuple[float, float]]:
+    """platform -> (max star, max cube) speed-up of ``variant`` over array.
+
+    The speed-up is the GFLOP/s ratio; FLOPs are normalised per stencil,
+    so it is also the run-time ratio.  ``bricks_codegen`` gives the
+    paper's headline gains (Figure 3), ``array_codegen`` isolates what
+    code generation alone buys.  Needs the paper's full stencil and
+    variant sweep.
+    """
+    out = {}
+    for pname in study.platform_names():
+        gain = {
+            name: study.get(name, pname, variant).gflops
+            / study.get(name, pname, "array").gflops
+            for name in STENCILS
+        }
+        out[pname] = (
+            max(gain[name] for name in STAR_STENCILS),
+            max(gain[name] for name in CUBE_STENCILS),
+        )
+    return out
+
+
+def tables_txt(study: StudyResults) -> str:
     """Tables 2–5 as one text artifact."""
-    study = resolve_study(source, config)
     return "\n\n".join(
         [
             render_table2(),
@@ -110,14 +145,13 @@ def tables_txt(source, config: Optional[ExperimentConfig] = None) -> str:
     )
 
 
-def figures_txt(source, config: Optional[ExperimentConfig] = None) -> str:
+def figures_txt(study: StudyResults) -> str:
     """Figure 3–7 series as one text artifact.
 
     Correlation figures (5 and 6) need both platforms of their pair in
     the study; a study swept over a subset simply omits them (with a
     one-line note, so the gap is visible rather than silent).
     """
-    study = resolve_study(source, config)
     names = set(study.platform_names())
     # render_correlation prints a diagonal distance per paper variant,
     # so the correlation figures need the full variant sweep too.
@@ -156,11 +190,7 @@ def figures_txt(source, config: Optional[ExperimentConfig] = None) -> str:
     return "\n\n".join(parts)
 
 
-def drift_md(
-    source,
-    config: Optional[ExperimentConfig] = None,
-    golden_path: str = DEFAULT_GOLDEN_PATH,
-) -> str:
+def drift_md(study: StudyResults, golden_path: str = DEFAULT_GOLDEN_PATH) -> str:
     """Drift commentary: this study's rows vs the golden baseline.
 
     Rendered through :func:`~repro.harness.serialization.compare_rows`
@@ -168,16 +198,9 @@ def drift_md(
     both states "no drift" affirmatively and names every drifted row
     when the model moved.
     """
-    study = resolve_study(source, config)
     lines = ["# Drift vs golden baseline", ""]
     golden = load_golden(golden_path)
-    cfg = study.config
-    ours = {
-        "stencils": list(cfg.stencils),
-        "variants": list(cfg.variants),
-        "domain": list(cfg.domain),
-        "platform_filter": list(cfg.platform_filter),
-    }
+    ours = config_doc(study.config)
     if golden is None:
         lines.append(
             f"No golden baseline at `{os.path.basename(golden_path)}`; run "
@@ -214,7 +237,7 @@ def drift_md(
     return "\n".join(lines) + "\n"
 
 
-def experiments_md(source, config: Optional[ExperimentConfig] = None) -> str:
+def experiments_md(study: StudyResults) -> str:
     """EXPERIMENTS.md: paper vs measured for every table and figure.
 
     The full paper-comparison document needs the paper's full matrix;
@@ -223,7 +246,6 @@ def experiments_md(source, config: Optional[ExperimentConfig] = None) -> str:
     pure function of the study, so store-reconstructed and in-memory
     studies render identically.
     """
-    study = resolve_study(source, config)
     if study.config != ExperimentConfig() or study.failed:
         return _experiments_md_reduced(study)
     return _experiments_md_full(study)
@@ -273,10 +295,9 @@ def _experiments_md_full(study: StudyResults) -> str:
     w("")
     w("| Stencil | Shape | Radius | Points | Unique coeffs | Paper | Match |")
     w("|---|---|---|---|---|---|---|")
-    paper2 = {"7pt": (1, 7, 2), "13pt": (2, 13, 3), "19pt": (3, 19, 4),
-              "25pt": (4, 25, 5), "27pt": (1, 27, 4), "125pt": (2, 125, 10)}
     for r in table2():
-        pr = paper2[r["name"]]
+        case = by_name(r["name"])
+        pr = (case.radius, case.points, case.unique_coefficients)
         got = (r["radius"], r["points"], r["unique_coefficients"])
         w(f"| {r['name']} | {r['shape']} | {r['radius']} | {r['points']} | "
           f"{r['unique_coefficients']} | {pr} | {'✓' if got == pr else '✗'} |")
@@ -327,18 +348,9 @@ def _experiments_md_full(study: StudyResults) -> str:
     w("Paper's qualitative claims, checked against the measured series")
     w("(full numeric series printed by `benchmarks/bench_fig3_roofline.py`):")
     w("")
-    panels = {p.platform: p for p in fig3(study)}
-    checks = []
-    for pname, panel in panels.items():
-        naive = dict((s, gf) for s, _, gf in panel.series["array"])
-        bricks = dict((s, gf) for s, _, gf in panel.series["bricks_codegen"])
-        gaps = {s: bricks[s] / naive[s] for s in naive}
-        star_max = max(gaps[s] for s in ("7pt", "13pt", "19pt", "25pt"))
-        cube_max = max(gaps[s] for s in ("27pt", "125pt"))
-        checks.append((pname, star_max, cube_max))
     w("| Platform | bricks-vs-array star (max) | cube (max) | Paper |")
     w("|---|---|---|---|")
-    for pname, sm, cm in checks:
+    for pname, (sm, cm) in speedups_over_array(study).items():
         star, cube = PAPER_CODEGEN_GAINS[pname]
         w(f"| {pname} | {sm:.1f}x | {cm:.1f}x | {star}/{cube} |")
     w("")
@@ -449,18 +461,19 @@ def _experiments_md_full(study: StudyResults) -> str:
 
 
 def generate_report(
-    source,
+    source: "DirectProvider | StoreProvider",
     config: Optional[ExperimentConfig] = None,
     golden_path: Optional[str] = DEFAULT_GOLDEN_PATH,
 ) -> Dict[str, str]:
     """The full reproduction artifact, as ``{filename: text}``.
 
-    ``source`` is a :class:`DataProvider` or a :class:`StudyResults`;
-    ``golden_path=None`` skips the drift artifact.  Every artifact is
-    deterministic in the study's numbers — the CI gate diffs a
-    store-rendered report against a direct-rendered one byte for byte.
+    The study is ``source.study(config)`` (``config=None`` = the
+    source's default); ``golden_path=None`` skips the drift artifact.
+    Every artifact is deterministic in the study's numbers — the CI
+    gate diffs a store-rendered report against a direct-rendered one
+    byte for byte.
     """
-    study = resolve_study(source, config)
+    study = source.study(config)
     artifacts = {
         "TABLES.txt": tables_txt(study) + "\n",
         "FIGURES.txt": figures_txt(study) + "\n",

@@ -38,10 +38,6 @@ an older library that also holds the former bench-gate tables still
 opens: the open checks only that the tables above exist, and the extra
 ones are never read.
 
-Column affinities for the flat row view derive from the shared
-:data:`~repro.harness.reporting.FIELD_TYPES` map — the same map the CSV
-loader coerces through, so "what type is this field" has one answer.
-
 Schema evolution is deliberate: the version lives in ``PRAGMA
 user_version`` and a mismatch is rejected loudly — silently reading
 rows written by an incompatible generation would corrupt every
@@ -72,7 +68,6 @@ from repro.harness.experiments import (
     Key,
     StudyResults,
 )
-from repro.harness.reporting import FIELD_TYPES
 from repro.harness.serialization import SCHEMA_VERSION, study_cache_key
 from repro.obs import counter
 from repro.obs.store import git_state
@@ -282,8 +277,6 @@ class ResultsStore:
         ``results.replaced``.
         """
         key = study_cache_key(study.config)
-        if git_rev is None:
-            git_rev = git_state()[0]
         with self._transaction():
             row = self._conn.execute(
                 "SELECT study_id, "
@@ -292,21 +285,23 @@ class ResultsStore:
                 "schema_version = ?",
                 (key, SCHEMA_VERSION),
             ).fetchone()
-            replaced = False
-            if row is not None:
-                if len(study.results) <= row["npoints"]:
-                    counter("results.dedup_hits").inc()
-                    return IngestOutcome(
-                        study_id=row["study_id"],
-                        points=row["npoints"],
-                        failures=0,
-                        dedup=True,
-                        replaced=False,
-                    )
+            if row is not None and len(study.results) <= row["npoints"]:
+                counter("results.dedup_hits").inc()
+                return IngestOutcome(
+                    study_id=row["study_id"],
+                    points=row["npoints"],
+                    failures=0,
+                    dedup=True,
+                    replaced=False,
+                )
+            if git_rev is None:
+                # Two ``git`` subprocesses: paid only when a row is written.
+                git_rev = git_state()[0]
+            replaced = row is not None
+            if replaced:
                 # The stored study is strictly worse (a degraded run
                 # this one resumed past): supersede it.
                 self._delete_rows(row["study_id"])
-                replaced = True
             cur = self._conn.execute(
                 "INSERT INTO studies (config_hash, schema_version, stencils, "
                 "variants, domain, platform_filter, complete, source, "
@@ -559,27 +554,6 @@ class ResultsStore:
             cost=ProgramCost(**{f: int(row[f]) for f in COST_FIELDS}),
             strategy=row["strategy"],
         )
-
-    def point_rows(self, config: ExperimentConfig) -> List[Dict[str, Any]]:
-        """Flat typed rows (the CSV schema) of one stored study.
-
-        The same rows :func:`~repro.harness.reporting.result_row`
-        produces from a live study, typed per the shared
-        :data:`~repro.harness.reporting.FIELD_TYPES` map — directly
-        comparable with ``compare_rows`` against a JSON/CSV baseline.
-        """
-        from repro.harness.reporting import result_row
-
-        study = self.load_study(config)
-        if study is None:
-            return []
-        rows = [result_row(r) for r in study.results.values()]
-        for row in rows:
-            for name, target in FIELD_TYPES.items():
-                assert isinstance(row[name], target), (
-                    name, row[name], target,
-                )
-        return rows
 
 
 def _platform_catalogue(config: ExperimentConfig) -> Dict[str, Platform]:

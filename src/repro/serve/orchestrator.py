@@ -18,7 +18,7 @@ identical tenants share one execution; otherwise a fresh job enters
 the queue or is rejected with backpressure.
 
 Workers micro-batch: after dequeuing a clean job, a worker drains up
-to ``batch_window - 1`` more clean jobs and evaluates all their matrix
+to ``BATCH_WINDOW - 1`` more clean jobs and evaluates all their matrix
 points as ONE batch sweep (:func:`repro.exec.microbatch_study_points`),
 so a burst of small requests pays the batch engine's per-group setup
 once.  The items and the per-job fold are the harness's own
@@ -80,6 +80,9 @@ __all__ = ["BACKENDS", "Orchestrator"]
 #: Execution backends the orchestrator can route jobs through.
 BACKENDS = ("thread", "process")
 
+#: Most clean jobs one worker fuses into a single batch sweep.
+BATCH_WINDOW = 8
+
 #: EWMA smoothing for the measured per-job service time (Retry-After).
 _EWMA_ALPHA = 0.3
 
@@ -106,9 +109,9 @@ _CRASH_PATH_COUNTERS = (
 class Orchestrator:
     """Owns the queue, the store, and the worker pool of one service.
 
-    ``workers`` threads drain the queue concurrently; ``batch_window``
-    bounds how many clean jobs one worker may coalesce into a single
-    batch sweep (1 disables micro-batching).
+    ``workers`` threads drain the queue concurrently; each may
+    coalesce up to :data:`BATCH_WINDOW` clean jobs into a single batch
+    sweep.
 
     ``run_study_fn`` is injectable for tests (a raising stub exercises
     the ``failed`` path deterministically).
@@ -128,7 +131,6 @@ class Orchestrator:
         *,
         queue_limit: int = 32,
         workers: int = 2,
-        batch_window: int = 8,
         run_study_fn: Optional[Callable[..., StudyResults]] = None,
         journal: "Optional[JobJournal | str]" = None,
         backend: str = "thread",
@@ -138,8 +140,6 @@ class Orchestrator:
     ) -> None:
         if workers < 1:
             raise ServeError(f"need at least one worker, got {workers}")
-        if batch_window < 1:
-            raise ServeError(f"batch window must be >= 1, got {batch_window}")
         if backend not in BACKENDS:
             raise ServeError(
                 f"unknown backend {backend!r}; known: {BACKENDS}"
@@ -149,7 +149,6 @@ class Orchestrator:
         self.store = store if store is not None else ResultStore()
         self.queue = JobQueue(limit=queue_limit)
         self.workers = workers
-        self.batch_window = batch_window
         self.backend = backend
         self.max_crashes = max_crashes
         self.checkpoint_every = checkpoint_every
@@ -457,15 +456,11 @@ class Orchestrator:
                     return
                 continue
             batch = [job]
-            if (
-                self.backend == "thread"
-                and job.options.clean
-                and self.batch_window > 1
-            ):
+            if self.backend == "thread" and job.options.clean:
                 # The process backend runs everything solo: a batch would
                 # couple unrelated tenants' jobs to one killable process.
                 batch += self.queue.drain(
-                    self.batch_window - 1, lambda j: j.options.clean
+                    BATCH_WINDOW - 1, lambda j: j.options.clean
                 )
             try:
                 if len(batch) > 1:

@@ -24,11 +24,6 @@ def dims_to_shape(dims: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(reversed(dims))
 
 
-def shape_to_dims(shape: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Inverse of :func:`dims_to_shape`."""
-    return tuple(reversed(shape))
-
-
 def prod(xs: Iterable[int]) -> int:
     """Integer product (empty product is 1)."""
     out = 1

@@ -18,7 +18,7 @@ import json
 import os
 from typing import Dict, List, Tuple
 
-from repro.harness.experiments import StudyResults
+from repro.harness.experiments import ExperimentConfig, StudyResults
 from repro.harness.reporting import CSV_FIELDS, result_row
 
 #: Name under which golden drift is reported (not a registry invariant:
@@ -40,21 +40,25 @@ def _row_key(row: Dict[str, object]) -> str:
     return f"{row['stencil']}/{row['platform']}/{row['variant']}"
 
 
+def config_doc(config: ExperimentConfig) -> Dict[str, list]:
+    """The ``config`` block of a golden document: the matrix it pins."""
+    return {
+        "stencils": list(config.stencils),
+        "variants": list(config.variants),
+        "domain": list(config.domain),
+        "platform_filter": list(config.platform_filter),
+    }
+
+
 def golden_doc(study: StudyResults) -> Dict[str, object]:
     """The JSON document pinning one study's results."""
-    cfg = study.config
     rows = {}
     for key in sorted(study.results):
         row = result_row(study.results[key])
         rows[_row_key(row)] = row
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "stencils": list(cfg.stencils),
-            "variants": list(cfg.variants),
-            "domain": list(cfg.domain),
-            "platform_filter": list(cfg.platform_filter),
-        },
+        "config": config_doc(study.config),
         "rows": rows,
     }
 

@@ -33,6 +33,7 @@ from repro.resilience import (
     TaskFailure,
     run_with_policy,
 )
+from repro.resilience.policy import BACKOFF_FACTOR, MAX_BACKOFF_S
 from repro.tuning import Autotuner
 
 
@@ -173,11 +174,12 @@ class TestFaultPlan:
 
 class TestRetryPolicy:
     def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(backoff_s=0.1, backoff_factor=2.0, max_backoff_s=0.3)
-        assert policy.delay_s(1) == pytest.approx(0.1)
-        assert policy.delay_s(2) == pytest.approx(0.2)
-        assert policy.delay_s(3) == pytest.approx(0.3)
-        assert policy.delay_s(4) == pytest.approx(0.3)  # capped
+        first = MAX_BACKOFF_S / BACKOFF_FACTOR**2
+        policy = RetryPolicy(backoff_s=first)
+        assert policy.delay_s(1) == pytest.approx(first)
+        assert policy.delay_s(2) == pytest.approx(first * BACKOFF_FACTOR)
+        assert policy.delay_s(3) == pytest.approx(MAX_BACKOFF_S)
+        assert policy.delay_s(4) == pytest.approx(MAX_BACKOFF_S)  # capped
 
     def test_retry_numbers_are_one_based(self):
         with pytest.raises(ExecutionError, match="1-based"):
@@ -225,15 +227,6 @@ class TestRunWithPolicy:
         assert time.perf_counter() - t0 < 2.0  # never waits the full 5 s
         assert err.value.attempts == 2
         assert _count(registry, "exec.timeouts") == 2
-
-    def test_timeout_without_retry(self, registry):
-        policy = RetryPolicy(
-            retries=3, backoff_s=0.0, timeout_s=0.2, retry_timeouts=False
-        )
-        with pytest.raises(TaskTimeoutError) as err:
-            run_with_policy(_sleepy, 1, policy)
-        assert err.value.attempts == 1
-        assert _count(registry, "exec.retries") == 0
 
     def test_corrupt_result_is_retried(self, registry):
         fn = _CorruptOnce()

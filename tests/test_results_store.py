@@ -1,4 +1,4 @@
-"""Tests for the SQLite result store, providers, and report generation."""
+"""Tests for the SQLite result store, report sources, and report generation."""
 
 import os
 import sqlite3
@@ -11,7 +11,6 @@ from repro.harness.experiments import (
     ExperimentConfig,
     FailedPoint,
     StudyResults,
-    resolve_study,
 )
 from repro.harness.serialization import study_to_dict
 from repro.results import (
@@ -82,6 +81,20 @@ class TestStoreBasics:
             conn.execute("SELECT COUNT(*) FROM points").fetchone()[0]
             == len(small_study)
         )
+
+    def test_dedup_ingest_runs_no_git(self, small_study, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_git_state():
+            calls.append(1)
+            return ("abc123", False)
+
+        monkeypatch.setattr("repro.results.store.git_state", counting_git_state)
+        with ResultsStore(str(tmp_path / "r.db")) as store:
+            store.ingest_study(small_study)
+            assert len(calls) == 1
+            assert store.ingest_study(small_study).dedup
+        assert len(calls) == 1
 
     def test_degraded_then_complete_replaces(self, small_study, tmp_path):
         db = str(tmp_path / "r.db")
@@ -231,8 +244,8 @@ class TestLegacyBenchTables:
         with ResultsStore(fresh_db, create=False) as store:
             fresh = store.load_study(TWO)
         assert study_to_dict(legacy) == study_to_dict(fresh)
-        assert generate_report(StoreProvider(legacy_db, config=TWO)) == (
-            generate_report(StoreProvider(fresh_db, config=TWO))
+        assert generate_report(StoreProvider(legacy_db), TWO) == (
+            generate_report(StoreProvider(fresh_db), TWO)
         )
         # The old rows are neither read nor touched.
         conn = sqlite3.connect(legacy_db)
@@ -244,9 +257,7 @@ class TestProviders:
     def test_direct_provider(self, small_study):
         provider = DirectProvider(small_study)
         assert provider.study() is small_study
-        rows = provider.rows()
-        assert len(rows) == len(small_study)
-        assert resolve_study(provider) is small_study
+        assert provider.study(SMALL) is small_study
 
     def test_direct_provider_rejects_other_config(self, small_study):
         with pytest.raises(ResultStoreError):
@@ -256,27 +267,15 @@ class TestProviders:
         db = str(tmp_path / "r.db")
         with ResultsStore(db) as store:
             store.ingest_study(small_study)
-        provider = StoreProvider(db, config=SMALL)
-        back = provider.study()
+        back = StoreProvider(db).study(SMALL)
         assert study_to_dict(back) == study_to_dict(small_study)
-        assert provider.study() is back  # memoised
-        assert provider.rows() == DirectProvider(small_study).rows()
 
     def test_store_provider_missing_study(self, small_study, tmp_path):
         db = str(tmp_path / "r.db")
         with ResultsStore(db) as store:
             store.ingest_study(small_study)
         with pytest.raises(ResultStoreError, match="no study"):
-            StoreProvider(db, config=TWO).study()
-
-    def test_renderers_accept_providers(self, two_study, tmp_path):
-        db = str(tmp_path / "r.db")
-        with ResultsStore(db) as store:
-            store.ingest_study(two_study)
-        provider = StoreProvider(db, config=TWO)
-        assert harness.table3(provider).render() == harness.table3(two_study).render()
-        assert harness.render_fig4(provider) == harness.render_fig4(two_study)
-        assert harness.render_fig7(provider) == harness.render_fig7(two_study)
+            StoreProvider(db).study(TWO)
 
 
 class TestReport:
@@ -285,7 +284,7 @@ class TestReport:
         with ResultsStore(db) as store:
             store.ingest_study(two_study)
         direct = generate_report(DirectProvider(two_study))
-        from_store = generate_report(StoreProvider(db, config=TWO))
+        from_store = generate_report(StoreProvider(db), TWO)
         assert set(direct) == {
             "TABLES.txt", "FIGURES.txt", "EXPERIMENTS.md", "DRIFT.md",
         }
@@ -325,7 +324,7 @@ class TestReport:
         with ResultsStore(db) as store:
             store.ingest_study(degraded)
         direct = generate_report(DirectProvider(degraded))
-        from_store = generate_report(StoreProvider(db, config=SMALL))
+        from_store = generate_report(StoreProvider(db), SMALL)
         assert direct == from_store
         assert "failed to simulate" in direct["DRIFT.md"]
 

@@ -11,7 +11,6 @@ from repro.errors import ServeError
 from repro.harness.experiments import ExperimentConfig
 from repro.serve import (
     BackpressureError,
-    JobOptions,
     Orchestrator,
     ResultStore,
     ServeClient,
@@ -35,9 +34,7 @@ def registry():
 @pytest.fixture
 def service(registry):
     """A live server on a free port, torn down after the test."""
-    orchestrator = Orchestrator(
-        ResultStore(), queue_limit=4, workers=1, batch_window=4
-    )
+    orchestrator = Orchestrator(ResultStore(), queue_limit=4, workers=1)
     server, thread = start_server(0, orchestrator)
     server.start()
     client = ServeClient(f"http://127.0.0.1:{server.port}", timeout_s=30.0)

@@ -353,7 +353,7 @@ class TestOrchestrator:
             orch.stop()
 
     def test_microbatch_fuses_queued_jobs(self, registry):
-        orch = Orchestrator(ResultStore(), workers=1, batch_window=8)
+        orch = Orchestrator(ResultStore(), workers=1)
         configs = [
             ExperimentConfig(stencils=(s,), variants=("array",),
                              domain=(64, 64, 64))
@@ -373,7 +373,7 @@ class TestOrchestrator:
         assert registry.counter("exec.dispatch.microbatch.points").value == 15
 
     def test_microbatched_results_match_direct_run(self, registry):
-        orch = Orchestrator(ResultStore(), workers=1, batch_window=4)
+        orch = Orchestrator(ResultStore(), workers=1)
         jobs = [orch.submit(c) for c in (SMALL, OTHER)]
         orch.start()
         try:
@@ -397,7 +397,7 @@ class TestOrchestrator:
         assert (len(direct[0].results), len(direct[0].failed)) == (1, 4)
         moved = (points.value, failed.value)
 
-        orch = Orchestrator(ResultStore(), workers=1, batch_window=4)
+        orch = Orchestrator(ResultStore(), workers=1)
         jobs = [orch.submit(c) for c in (tiny, SMALL)]
         orch.start()
         try:
@@ -479,8 +479,6 @@ class TestOrchestrator:
     def test_invalid_sizing_raises(self):
         with pytest.raises(ServeError):
             Orchestrator(ResultStore(), workers=0)
-        with pytest.raises(ServeError):
-            Orchestrator(ResultStore(), batch_window=0)
 
 
 class TestConfigFromDict:
