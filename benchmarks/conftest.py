@@ -1,18 +1,9 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared helpers for the benchmark suite.
 
-Every ``bench_*`` module regenerates one table or figure of the paper;
-the full study sweep is computed once per session and shared.
+The ablation, scaling and kernel-execution benches live here; the
+paper's tables and figures are printed by ``repro-stencil table N`` /
+``figure N`` and their claims checked by ``repro-stencil validate``.
 """
-
-import pytest
-
-from repro import harness
-
-
-@pytest.fixture(scope="session")
-def study():
-    """The paper's full evaluation matrix on the 512^3 domain."""
-    return harness.run_study()
 
 
 def emit(title: str, body: str) -> None:

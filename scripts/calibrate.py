@@ -12,7 +12,7 @@ render ``EXPERIMENTS.md`` (``harness.table3`` / ``table5`` and
 from __future__ import annotations
 
 from repro import harness
-from repro.results.report import (
+from repro.validate.claims import (
     PAPER_CODEGEN_GAINS,
     PAPER_OVERALL_P,
     PAPER_TABLE3,

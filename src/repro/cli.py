@@ -181,20 +181,19 @@ def _report(args) -> int:
     if rc:
         return rc
     db_path = resolve_results_db(args.results_db)
+    golden = None if args.no_golden else (args.golden or DEFAULT_GOLDEN_PATH)
+    provider = None
     try:
-        provider = (
-            StoreProvider(db_path) if db_path else DirectProvider(study)
-        )
-        golden = (
-            None if args.no_golden
-            else (args.golden or DEFAULT_GOLDEN_PATH)
-        )
+        provider = StoreProvider(db_path) if db_path else DirectProvider(study)
         artifacts = generate_report(
             provider, config=study.config, golden_path=golden
         )
     except (OSError, ResultStoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if isinstance(provider, StoreProvider):
+            provider.store.close()
     if args.out_dir:
         paths = write_report(artifacts, args.out_dir)
         for name in sorted(paths):

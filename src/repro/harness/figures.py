@@ -169,18 +169,16 @@ def render_correlation(model: CorrelationModel, domain=(512, 512, 512)) -> str:
 # ---------------------------------------------------------------------------
 
 
-def fig7(
-    study: StudyResults, variant: str = "bricks_codegen"
-) -> List[SpeedupPoint]:
+def fig7(study: StudyResults) -> List[SpeedupPoint]:
     """All platforms' bricks-codegen kernels on the potential-speed-up plane."""
     rooflines = {p.name: empirical_roofline(p) for p in study.config.platforms()}
     pts = []
     for name in study.config.stencils:
         stencil = by_name(name).build()
         for pname in study.platform_names():
-            if not study.has(name, pname, variant):
+            if not study.has(name, pname, "bricks_codegen"):
                 continue
-            res = study.get(name, pname, variant)
+            res = study.get(name, pname, "bricks_codegen")
             pts.append(
                 SpeedupPoint(
                     label=f"{name}@{pname}",

@@ -124,8 +124,9 @@ class PortabilityTable:
 
 
 def _portability_table(
-    study: StudyResults, efficiency, title: str, variant: str = "bricks_codegen"
+    study: StudyResults, efficiency, title: str
 ) -> PortabilityTable:
+    variant = "bricks_codegen"
     platforms = study.platform_names()
     rooflines = {
         p.name: empirical_roofline(p) for p in study.config.platforms()

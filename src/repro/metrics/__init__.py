@@ -20,30 +20,18 @@ from repro.metrics.pennycook import (
     performance_portability,
 )
 from repro.metrics.speedup import SpeedupPoint, iso_curve, summarize
-from repro.metrics.statistics import (
-    CorrelationStats,
-    correlation_stats,
-    loglog_fit,
-    pearson,
-    spearman,
-)
 
 __all__ = [
     "CorrelationModel",
     "CorrelationPoint",
-    "CorrelationStats",
     "SpeedupPoint",
     "aggregate_portability",
     "correlate",
-    "correlation_stats",
     "fraction_of_roofline",
     "fraction_of_theoretical_ai",
     "harmonic_mean",
     "iso_curve",
-    "loglog_fit",
-    "pearson",
     "performance_portability",
     "roofline_for",
-    "spearman",
     "summarize",
 ]

@@ -7,9 +7,9 @@ drift commentary against the golden baseline.  Every renderer takes a
 :func:`generate_report` takes a source (:class:`~repro.results.provider.
 DirectProvider` for a freshly-run study, :class:`~repro.results.provider.
 StoreProvider` for one reconstructed from the SQLite result store) and
-resolves it once.  The paper values every comparison reads live here
-too, with :func:`speedups_over_array`, the one copy of the headline
-codegen speed-ups.
+resolves it once.  Every ✓/✗ under a paper table or figure is a verdict
+of :func:`repro.validate.claims.evaluate`, which also holds the paper
+values the comparison columns read.
 
 Nothing here embeds timestamps, hostnames, or store row-ids: the
 artifact is a pure function of the study's numbers, which is what makes
@@ -19,16 +19,15 @@ the CI byte-identity gate (store-rendered == direct-rendered) possible.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.dsl.shapes import by_name
-from repro.harness.experiments import ExperimentConfig, StudyResults
+from repro.harness.experiments import STENCIL_NAMES, ExperimentConfig, StudyResults
 from repro.harness.figures import (
     fig3,
     fig4,
     fig5,
     fig6,
-    fig7,
     render_correlation,
     render_fig4,
     render_fig7,
@@ -36,6 +35,7 @@ from repro.harness.figures import (
 from repro.harness.reporting import result_row
 from repro.harness.serialization import compare_rows
 from repro.harness.tables import (
+    PortabilityTable,
     render_table2,
     render_table4,
     table2,
@@ -43,95 +43,31 @@ from repro.harness.tables import (
     table4,
     table5,
 )
+from repro.validate.claims import (
+    LOWER_BOUND_GB,
+    PAPER_CODEGEN_GAINS,
+    PAPER_OVERALL_P,
+    PAPER_TABLE3,
+    PAPER_TABLE4,
+    PAPER_TABLE5,
+    ClaimResult,
+    evaluate,
+    is_paper_matrix,
+    speedups_over_array,
+)
 from repro.validate.golden import DEFAULT_GOLDEN_PATH, config_doc, load_golden
 
 if TYPE_CHECKING:
     from repro.results.provider import DirectProvider, StoreProvider
 
 __all__ = [
-    "PAPER_CODEGEN_GAINS",
-    "PAPER_OVERALL_P",
-    "PAPER_TABLE3",
-    "PAPER_TABLE4",
-    "PAPER_TABLE5",
     "drift_md",
     "experiments_md",
     "figures_txt",
     "generate_report",
-    "speedups_over_array",
     "tables_txt",
     "write_report",
 ]
-
-#: Paper values for Tables 3 and 5 (five platform cells + the P column),
-#: the comparison columns of EXPERIMENTS.md and the one copy every
-#: calibration script and benchmark reads.
-PAPER_TABLE3 = {
-    "7pt": (95, 84, 66, 68, 77, 77),
-    "13pt": (92, 79, 66, 67, 67, 73),
-    "19pt": (85, 87, 65, 66, 53, 69),
-    "25pt": (69, 79, 66, 64, 47, 63),
-    "27pt": (82, 60, 66, 67, 61, 66),
-    "125pt": (47, 39, 42, 63, 23, 38),
-}
-PAPER_TABLE5 = {
-    "7pt": (92, 49, 62, 59, 93, 67),
-    "13pt": (92, 88, 66, 48, 92, 72),
-    "19pt": (91, 87, 60, 43, 91, 68),
-    "25pt": (88, 81, 56, 41, 91, 65),
-    "27pt": (93, 59, 67, 59, 92, 71),
-    "125pt": (92, 89, 64, 38, 92, 67),
-}
-#: Paper Table 4: theoretical arithmetic intensity (FLOP/byte) per stencil.
-PAPER_TABLE4 = {
-    "7pt": 0.5,
-    "13pt": 0.9375,
-    "19pt": 1.375,
-    "25pt": 1.8125,
-    "27pt": 1.875,
-    "125pt": 8.375,
-}
-#: The paper's overall P (percent) of Tables 3 and 5, keyed by table.
-PAPER_OVERALL_P = {3: 61, 5: 68}
-#: The paper's headline codegen speed-ups (bricks codegen vs array), the
-#: most over star and over cube stencils, per platform (Figure 3).
-PAPER_CODEGEN_GAINS = {
-    "A100-CUDA": ("1.3x", "2x"),
-    "A100-SYCL": ("13x", "26x"),
-    "MI250X-HIP": ("1.3x", "3x"),
-    "MI250X-SYCL": ("3x", "9x"),
-    "PVC-SYCL": ("3x", "5x"),
-}
-
-STENCILS = ("7pt", "13pt", "19pt", "25pt", "27pt", "125pt")
-STAR_STENCILS = ("7pt", "13pt", "19pt", "25pt")
-CUBE_STENCILS = ("27pt", "125pt")
-
-
-def speedups_over_array(
-    study: StudyResults, variant: str = "bricks_codegen"
-) -> Dict[str, Tuple[float, float]]:
-    """platform -> (max star, max cube) speed-up of ``variant`` over array.
-
-    The speed-up is the GFLOP/s ratio; FLOPs are normalised per stencil,
-    so it is also the run-time ratio.  ``bricks_codegen`` gives the
-    paper's headline gains (Figure 3), ``array_codegen`` isolates what
-    code generation alone buys.  Needs the paper's full stencil and
-    variant sweep.
-    """
-    out = {}
-    for pname in study.platform_names():
-        gain = {
-            name: study.get(name, pname, variant).gflops
-            / study.get(name, pname, "array").gflops
-            for name in STENCILS
-        }
-        out[pname] = (
-            max(gain[name] for name in STAR_STENCILS),
-            max(gain[name] for name in CUBE_STENCILS),
-        )
-    return out
-
 
 def tables_txt(study: StudyResults) -> str:
     """Tables 2–5 as one text artifact."""
@@ -246,7 +182,7 @@ def experiments_md(study: StudyResults) -> str:
     pure function of the study, so store-reconstructed and in-memory
     studies render identically.
     """
-    if study.config != ExperimentConfig() or study.failed:
+    if not is_paper_matrix(study):
         return _experiments_md_reduced(study)
     return _experiments_md_full(study)
 
@@ -271,14 +207,119 @@ def _experiments_md_reduced(study: StudyResults) -> str:
     return "\n".join(out)
 
 
+#: Why a Table 3/5 column misses the paper, keyed by (table, platform).
+#: ``{paper}`` and ``{ours}`` render the column, 7pt to 125pt, in percent.
+COLUMN_NOTES = {
+    (3, "A100-SYCL"): (
+        "The paper's column is not monotone in stencil size ({paper}); the "
+        "model's shuffle-latency term lowers it steadily across the star "
+        "family ({ours}) and has no cube-specific SYCL penalty for the "
+        "paper's 27pt dip."
+    ),
+    (5, "A100-SYCL"): (
+        "The paper's column is strongly non-monotonic ({paper}); we model a "
+        "single read-amplification per variant, giving a flat column "
+        "({ours})."
+    ),
+    (5, "MI250X-SYCL"): (
+        "The paper's column falls across the star family and again from "
+        "27pt to 125pt ({paper}); ours drops only where layer-condition "
+        "re-reads grow ({ours}).  The paper's "
+        "125pt cell implies 125pt-specific traffic growth we chose not to "
+        "add a dedicated parameter for."
+    ),
+}
+
+
+def _verdict(row: ClaimResult) -> str:
+    """One claim as an EXPERIMENTS.md line: measured, band, paper, ✓/✗."""
+    c = row.claim
+    return (
+        f"- `{c.id}`: {c.text}: {format(row.measured, c.fmt)}, band "
+        f"{c.band_text()} (paper: {c.paper}) {'✓' if row.ok else '✗'}"
+    )
+
+
+def _verdicts(rows: List[ClaimResult], section: str) -> List[str]:
+    return [_verdict(r) for r in rows if r.claim.section == section] + [""]
+
+
+def _deviations(
+    study: StudyResults,
+    rows: List[ClaimResult],
+    tables: Dict[int, PortabilityTable],
+) -> List[str]:
+    """Known deviations: out-of-band claims and Table 3/5 cells, from data."""
+    out = ["## Known deviations", ""]
+    misses = [_verdict(r) for r in rows if not r.ok]
+    out += (["Claims outside their band:", ""] + misses if misses
+            else ["Every claim above is within its band."])
+    out.append("")
+    claims = {r.claim.id: r.claim for r in rows}
+    bands = {n: claims[f"table{n}-stencil-p"].band[1] for n in (3, 5)}
+    out.append(
+        "Table 3 and 5 cells further from the paper than their table's "
+        f"per-stencil 𝒫 band (`table3-stencil-p`: {bands[3]:g} points, "
+        f"`table5-stencil-p`: {bands[5]:g}), as ours/paper in percent:"
+    )
+    out.append("")
+    for n, paper in ((3, PAPER_TABLE3), (5, PAPER_TABLE5)):
+        t = tables[n]
+        for col, pname in enumerate(t.platform_names):
+            ours = [100 * t.rows[name][0][col] for name in STENCIL_NAMES]
+            theirs = [paper[name][col] for name in STENCIL_NAMES]
+            cells = [
+                f"{name} {o:.0f}/{p}"
+                for name, o, p in zip(STENCIL_NAMES, ours, theirs)
+                if abs(o - p) > bands[n]
+            ]
+            if not cells:
+                continue
+            line = f"- Table {n}, {pname}: {', '.join(cells)}."
+            note = COLUMN_NOTES.get((n, pname))
+            if note:
+                line += " " + note.format(
+                    paper=", ".join(f"{p}" for p in theirs) + "%",
+                    ours=", ".join(f"{o:.0f}" for o in ours) + "%",
+                )
+            out.append(line)
+    out.append(_mi250x_array_note(study, tables[5]))
+    out.append("")
+    return out
+
+
+def _mi250x_array_note(study: StudyResults, t5: PortabilityTable) -> str:
+    kernels = [(n, p) for p in ("MI250X-HIP", "MI250X-SYCL") for n in STENCIL_NAMES]
+    higher = [
+        (n, p) for n, p in kernels
+        if study.get(n, p, "array").arithmetic_intensity
+        > study.get(n, p, "bricks_codegen").arithmetic_intensity
+    ]
+    slower = sum(
+        study.get(n, p, "array").gflops < study.get(n, p, "bricks_codegen").gflops
+        for n, p in higher
+    )
+    col = t5.platform_names.index("MI250X-HIP")
+    bricks = [100 * effs[col] for effs, _ in t5.rows.values()]
+    return (
+        "- MI250X plain-array traffic: the paper's Figure 6 (array near the "
+        f"{LOWER_BOUND_GB:.2f} GB bound) and Table 5 (MI250X-HIP bricks "
+        f"codegen at {min(bricks):.0f}-{max(bricks):.0f}%) are in tension; we "
+        "follow the numeric table, so on MI250X the plain array shows a "
+        f"higher AI than bricks codegen on {len(higher)} of {len(kernels)} "
+        f"kernels while running slower on {slower} of them."
+    )
+
+
 def _experiments_md_full(study: StudyResults) -> str:
+    rows = evaluate(study)
     out = []
     w = out.append
     w("# EXPERIMENTS — paper vs. measured (simulated)")
     w("")
     w("All numbers regenerate deterministically from `harness.run_study()`")
     w("(512³ double-precision domain, out-of-place; the paper's setup).")
-    w("`pytest benchmarks/ --benchmark-only` re-runs and re-asserts everything.")
+    w(f"`repro-stencil validate` re-checks all {len(rows)} claims below.")
     w("")
     w("The substrate is the deterministic GPU simulator described in")
     w("DESIGN.md, calibrated once against the paper's published numbers")
@@ -302,6 +343,7 @@ def _experiments_md_full(study: StudyResults) -> str:
         w(f"| {r['name']} | {r['shape']} | {r['radius']} | {r['points']} | "
           f"{r['unique_coefficients']} | {pr} | {'✓' if got == pr else '✗'} |")
     w("")
+    out += _verdicts(rows, "Table 2")
 
     # ----- Table 4 -------------------------------------------------------
     w("## Table 4 — theoretical arithmetic intensity (exact reproduction)")
@@ -314,13 +356,15 @@ def _experiments_md_full(study: StudyResults) -> str:
         w(f"| {r['name']} | {r['theoretical_ai']} | {paper} | "
           f"{'✓' if ok else '✗'} |")
     w("")
+    out += _verdicts(rows, "Table 4")
 
     # ----- Tables 3 and 5 --------------------------------------------------
+    tables: Dict[int, PortabilityTable] = {}
     for tbl_no, table_fn, paper in (
         (3, table3, PAPER_TABLE3),
         (5, table5, PAPER_TABLE5),
     ):
-        t = table_fn(study)
+        t = tables[tbl_no] = table_fn(study)
         metric = ("fraction of Roofline" if tbl_no == 3
                   else "fraction of theoretical AI")
         w(f"## Table {tbl_no} — performance portability from {metric}")
@@ -330,7 +374,7 @@ def _experiments_md_full(study: StudyResults) -> str:
         header = "| Stencil | " + " | ".join(t.platform_names) + " | P |"
         w(header)
         w("|" + "---|" * (len(t.platform_names) + 2))
-        for name in STENCILS:
+        for name in STENCIL_NAMES:
             effs, p = t.rows[name]
             cells = [
                 f"{100 * e:.0f}/{pv}"
@@ -341,12 +385,13 @@ def _experiments_md_full(study: StudyResults) -> str:
         w(f"| **overall** | " + " | ".join([""] * len(t.platform_names))
           + f" | **{100 * t.overall:.0f}/{PAPER_OVERALL_P[tbl_no]}** |")
         w("")
+        out += _verdicts(rows, f"Table {tbl_no}")
 
     # ----- Figure 3 --------------------------------------------------------
     w("## Figure 3 — Roofline panels")
     w("")
     w("Paper's qualitative claims, checked against the measured series")
-    w("(full numeric series printed by `benchmarks/bench_fig3_roofline.py`):")
+    w("(full numeric series printed by `repro-stencil figure 3`):")
     w("")
     w("| Platform | bricks-vs-array star (max) | cube (max) | Paper |")
     w("|---|---|---|---|")
@@ -354,10 +399,7 @@ def _experiments_md_full(study: StudyResults) -> str:
         star, cube = PAPER_CODEGEN_GAINS[pname]
         w(f"| {pname} | {sm:.1f}x | {cm:.1f}x | {star}/{cube} |")
     w("")
-    w("- bricks codegen attains the highest AI of the three variants on")
-    w("  A100 and PVC, and beats array codegen's AI on every platform ✓")
-    w("- all kernels sit on or below their empirical Roofline ✓")
-    w("")
+    out += _verdicts(rows, "Figure 3")
 
     # ----- Figure 4 --------------------------------------------------------
     w("## Figure 4 — L1 data movement")
@@ -370,53 +412,17 @@ def _experiments_md_full(study: StudyResults) -> str:
         bc = dict(data[pname]["bricks_codegen"])['125pt']
         w(f"| {pname} | {naive:.1f} GB | {bc:.1f} GB | {naive / bc:.0f}x | ≥10x |")
     w("")
+    out += _verdicts(rows, "Figure 4")
 
-    # ----- Figures 5 and 6 ----------------------------------------------------
-    perf5, bytes5 = fig5(study)
-    perf6, bytes6 = fig6(study)
-    w("## Figure 5 — CUDA vs SYCL correlation on A100")
-    w("")
-    w(f"- points above diagonal (CUDA faster): "
-      f"{len(perf5.above_diagonal())}/{len(perf5.points)} "
-      "(paper: most stencils favour CUDA) ✓")
-    w(f"- diagonal distance, array vs bricks codegen: "
-      f"{perf5.diagonal_distance('array'):.2f} vs "
-      f"{perf5.diagonal_distance('bricks_codegen'):.2f} "
-      "(paper: bricks closer to the diagonal) ✓")
-    b5 = {p.variant: p for p in bytes5.points if p.stencil == "13pt"}
-    w(f"- bytes, 13pt: array codegen CUDA {b5['array_codegen'].y:.1f} GB "
-      "(paper: ~4 GB); bricks CUDA "
-      f"{b5['bricks_codegen'].y:.2f} GB vs SYCL "
-      f"{b5['bricks_codegen'].x:.2f} GB, lower bound 2.15 GB "
-      "(paper: CUDA moves less, bricks near bound) ✓")
-    w("")
-    w("## Figure 6 — HIP vs SYCL correlation on MI250X")
-    w("")
-    naive6 = [p for p in perf6.points if p.variant == "array"]
-    w(f"- plain array favours HIP: {sum(p.y > p.x for p in naive6)}/6 above "
-      "diagonal (paper ✓)")
-    w(f"- bricks codegen geometric-mean HIP/SYCL ratio: "
-      f"{perf6.mean_log_ratio('bricks_codegen'):.2f} "
-      "(paper: 'perform the same' — near 1) ✓")
-    b6 = {p.variant: p for p in bytes6.points if p.stencil == "13pt"}
-    w(f"- HIP array codegen anomaly: {b6['array_codegen'].y:.1f} GB "
-      "(paper: >10 GB) ✓")
-    w("")
-
-    # ----- Figure 7 --------------------------------------------------------
-    w("## Figure 7 — potential speed-up plane")
-    w("")
-    pts = fig7(study)
-    over_half = sum(
-        1 for p in pts if p.ai_fraction > 0.5 and p.roofline_fraction > 0.5
-    )
-    w(f"- {over_half}/{len(pts)} bricks-codegen kernels exceed 50% on both")
-    w("  axes (paper: 'over 50% of the Roofline and theoretical arithmetic")
-    w("  intensity overall') ✓")
-    w("- NVIDIA/Intel cluster at high AI-fraction (data movement near")
-    w("  minimal, 2-4x execution headroom); AMD sits mid-plane with 2-4x")
-    w("  combined headroom — matching the paper's reading of the figure ✓")
-    w("")
+    # ----- Figures 5, 6 and 7 --------------------------------------------------
+    for section, title in (
+        ("Figure 5", "CUDA vs SYCL correlation on A100"),
+        ("Figure 6", "HIP vs SYCL correlation on MI250X"),
+        ("Figure 7", "potential speed-up plane"),
+    ):
+        w(f"## {section} — {title}")
+        w("")
+        out += _verdicts(rows, section)
 
     # ----- throughput envelope ------------------------------------------------
     w("## Simulation throughput envelope")
@@ -438,25 +444,7 @@ def _experiments_md_full(study: StudyResults) -> str:
     w("groups pay codegen and cost-model time.")
     w("")
 
-    # ----- known deviations ---------------------------------------------------
-    w("## Known deviations")
-    w("")
-    w("- Table 3, A100 columns: the paper's decline across the star family")
-    w("  (95→69%) is steeper than linear in any static op count; our")
-    w("  shuffle-latency mechanism reproduces the trend but compresses the")
-    w("  13pt/19pt cells by ~5 points.")
-    w("- Table 5, A100-SYCL: the paper's column is strongly non-monotonic")
-    w("  (49% at 7pt, 88-89% elsewhere); we model a single read-")
-    w("  amplification per variant, giving a flat ~75%.")
-    w("- Table 5, MI250X-SYCL 125pt: paper 38%, ours ~55% — the paper's")
-    w("  value implies 125pt-specific traffic growth we chose not to add a")
-    w("  dedicated parameter for.")
-    w("- MI250X plain-array traffic: the paper's Figure 6 (array near the")
-    w("  2.15 GB bound) and Table 5 (bricks at ~62%) are in tension; we")
-    w("  follow the numeric table, so on MI250X the plain array can show")
-    w("  a slightly *higher* AI than bricks codegen while still being")
-    w("  slower (see `test_bricks_ai_beats_array_codegen_everywhere`).")
-    w("")
+    out += _deviations(study, rows, tables)
     return "\n".join(out)
 
 

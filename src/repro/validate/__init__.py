@@ -17,9 +17,11 @@ physically sane; this package makes sanity *executable*:
   arithmetic against a brute-force access-pattern replay;
 * :mod:`repro.validate.golden` — golden result baselines for the full
   study matrix under ``tests/golden/``, with an ``--update-golden``
-  refresh path.
+  refresh path;
+* :mod:`repro.validate.claims` — the paper's claims about Tables 2–5
+  and Figures 3–7, each measured on the paper's matrix against a band.
 
-``validate_study`` assembles all three into one report; the CLI renders
+``validate_study`` assembles all four into one report; the CLI renders
 it and exits non-zero on any violation.
 """
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.validate import oracle as _oracle  # noqa: F401  (registers probes)
+from repro.validate.claims import evaluate, is_paper_matrix
 from repro.validate.golden import (
     DEFAULT_GOLDEN_PATH,
     check_golden,
@@ -72,6 +75,8 @@ class ValidationReport:
     violations: List[Violation] = field(default_factory=list)
     checked_points: int = 0
     probes_run: int = 0
+    #: Paper claims evaluated (0 off the paper's matrix).
+    claims_checked: int = 0
     #: Golden-baseline outcome: ok / drift / missing / updated / skipped.
     golden: str = "skipped"
 
@@ -84,7 +89,7 @@ class ValidationReport:
         head = (
             f"validate: {self.checked_points} matrix points, "
             f"{len(registered())} invariants, {self.probes_run} probes, "
-            f"golden baseline: {self.golden}"
+            f"{self.claims_checked} paper claims, golden baseline: {self.golden}"
         )
         if self.ok:
             return head + "\nall invariants hold"
@@ -118,13 +123,27 @@ def validate_study(
 
     Checks every simulated matrix point against the per-result
     invariants, the study-level invariants (Pennycook bounds), the
-    model-contract probes and oracle cross-checks, and — unless
-    ``golden_path`` is ``None`` — the golden baseline (which
-    ``update_golden`` rewrites instead of checking).
+    model-contract probes and oracle cross-checks, the paper's claims
+    (on the paper's matrix only; an out-of-band claim is a violation
+    named by its id) and — unless ``golden_path`` is ``None`` — the
+    golden baseline (which ``update_golden`` rewrites instead of
+    checking).
     """
     report = ValidationReport()
     report.violations.extend(check_study(study))
     report.checked_points = len(study.results)
+    if is_paper_matrix(study):
+        rows = evaluate(study)
+        report.claims_checked = len(rows)
+        report.violations.extend(
+            Violation(
+                c.id, f"<{c.section}>",
+                f"{c.text}: {format(measured, c.fmt)} outside band "
+                f"{c.band_text()} (paper: {c.paper})",
+            )
+            for c, measured, ok in rows
+            if not ok
+        )
     if probes:
         probe_violations, report.probes_run = run_probes()
         report.violations.extend(probe_violations)

@@ -5,7 +5,7 @@ import pytest
 from repro.dsl import TABLE2, analyze, by_name, catalog, cube, star, theoretical_ai
 from repro.dsl.analysis import compulsory_bytes, total_flops
 from repro.errors import DSLError
-from repro.results.report import PAPER_TABLE4
+from repro.validate.claims import PAPER_TABLE4
 
 
 class TestTable2:

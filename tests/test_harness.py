@@ -1,4 +1,8 @@
-"""Integration tests for the experiment harness (tables + figures)."""
+"""Integration tests for the experiment harness (tables + figures).
+
+The paper's bands on these tables and figures are claims in
+``repro.validate.claims``, tested in ``tests/test_claims.py``.
+"""
 
 import pytest
 
@@ -55,26 +59,6 @@ class TestTables:
         assert by_points[125] == pytest.approx(8.375)
         assert "Theoretical AI" in harness.render_table4()
 
-    def test_table3_matches_paper_band(self, full_study):
-        t3 = harness.table3(full_study)
-        # Paper: bricks codegen attains P > 60% overall... our model's
-        # aggregate lands at ~62% vs the paper's 61%.
-        assert 0.55 <= t3.overall <= 0.68
-        # 125pt is the worst row (paper: 38%).
-        ps = {name: p for name, (effs, p) in t3.rows.items()}
-        assert min(ps, key=ps.get) == "125pt"
-        # 7pt the best (paper: 77%).
-        assert max(ps, key=ps.get) == "7pt"
-
-    def test_table5_matches_paper_band(self, full_study):
-        t5 = harness.table5(full_study)
-        # Paper: nearly 70% overall (68%).
-        assert 0.62 <= t5.overall <= 0.74
-        # Paper conclusion: data movement within ~1.5x of the infinite-
-        # cache bound on average -> per-stencil P around 2/3.
-        for name, (effs, p) in t5.rows.items():
-            assert p > 0.5
-
     def test_tables_render(self, full_study):
         text3 = harness.table3(full_study).render()
         assert "A100-CUDA" in text3 and "overall" in text3
@@ -89,27 +73,13 @@ class TestFigures:
         for panel in panels:
             for variant, pts in panel.series.items():
                 assert len(pts) == 6
-                for _, ai, gf in pts:
-                    # No kernel may beat its Roofline.
-                    assert gf * 1e9 <= panel.roofline.attainable(ai) * 1.02
             assert "Figure 3" in panel.render()
 
-    def test_fig3_bricks_rightmost(self, full_study):
-        # Bricks codegen has the highest AI per stencil per panel
-        # (vs array codegen; the paper's layout comparison).
-        for panel in harness.fig3(full_study):
-            arr = dict((s, ai) for s, ai, _ in panel.series["array_codegen"])
-            bricks = dict((s, ai) for s, ai, _ in panel.series["bricks_codegen"])
-            for name in arr:
-                assert bricks[name] > arr[name]
-
-    def test_fig4_ordering(self, full_study):
+    def test_fig4_series(self, full_study):
         data = harness.fig4(full_study)
-        for pname, variants in data.items():
-            naive = dict(variants["array"])
-            codegen = dict(variants["bricks_codegen"])
-            for name in naive:
-                assert naive[name] > codegen[name]
+        assert list(data) == full_study.platform_names()
+        for variants in data.values():
+            assert all(len(pts) == 6 for pts in variants.values())
         assert "Figure 4" in harness.render_fig4(full_study)
 
     def test_fig5_fig6(self, full_study):
@@ -118,21 +88,12 @@ class TestFigures:
         assert len(perf5.points) == 18
         perf6, bytes6 = harness.fig6(full_study)
         assert perf6.y_label == "HIP"
-        # Paper Figure 6: "a more balanced scenario" on AMD — codegen
-        # kernels sit closer to the diagonal than on NVIDIA.
-        assert perf6.diagonal_distance("bricks_codegen") < perf5.diagonal_distance(
-            "array"
-        )
         text = harness.render_correlation(bytes6)
         assert "lower bound" in text
 
     def test_fig7(self, full_study):
         pts = harness.fig7(full_study)
         assert len(pts) == 30
-        # Paper: bricks codegen attained over 50% of Roofline and
-        # theoretical AI overall -> most points in the <=4x bands.
-        good = [p for p in pts if p.potential_speedup <= 4.5]
-        assert len(good) >= len(pts) * 0.8
         assert "potential" in harness.render_fig7(full_study)
 
 

@@ -1,14 +1,8 @@
-"""Tests for the profiler report sections and consistency metrics."""
+"""Tests for the profiler report sections."""
 
 import pytest
 
 from repro import dsl, gpu
-from repro.errors import MetricError
-from repro.metrics.consistency import (
-    coefficient_of_variation,
-    consistency,
-    efficiency_spread,
-)
 from repro.profiling.report import (
     full_report,
     memory_workload,
@@ -58,45 +52,3 @@ class TestReport:
         res = gpu.simulate(dsl.by_name("125pt").build(), "bricks_codegen",
                            gpu.platform("A100", "CUDA"))
         assert "compute-bound" in roofline_section(res)
-
-
-class TestConsistency:
-    def test_cv_of_constant_is_zero(self):
-        assert coefficient_of_variation([0.7, 0.7, 0.7]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_spread(self):
-        assert efficiency_spread([0.5, 1.0]) == 2.0
-
-    def test_report(self):
-        rep = consistency({"A100": 0.95, "MI250X": 0.66, "PVC": 0.77})
-        assert rep.best_platform == "A100"
-        assert rep.worst_platform == "MI250X"
-        assert rep.spread == pytest.approx(0.95 / 0.66)
-        assert "cv" in rep.describe()
-
-    def test_validation(self):
-        with pytest.raises(MetricError):
-            consistency({"one": 0.5})
-        with pytest.raises(MetricError):
-            consistency({"a": 0.5, "b": 0.0})
-        with pytest.raises(MetricError):
-            coefficient_of_variation([1.0])
-        with pytest.raises(MetricError):
-            efficiency_spread([])
-
-    def test_table3_consistency_story(self):
-        """MI250X's flat 66% column is the most consistent; the paper's
-        bricks codegen consistency across platforms is moderate."""
-        from repro import harness
-
-        study = harness.run_study(
-            harness.ExperimentConfig(stencils=("7pt", "13pt", "27pt"))
-        )
-        t3 = harness.table3(study)
-        per_platform = {p: [] for p in t3.platform_names}
-        for name, (effs, _) in t3.rows.items():
-            for p, e in zip(t3.platform_names, effs):
-                per_platform[p].append(e)
-        cvs = {p: coefficient_of_variation(v) for p, v in per_platform.items()}
-        # The MI250X-HIP column is flatter than the PVC column.
-        assert cvs["MI250X-HIP"] < cvs["PVC-SYCL"]

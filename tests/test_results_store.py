@@ -414,6 +414,31 @@ class TestCli:
         conn = sqlite3.connect(db)
         assert conn.execute("SELECT COUNT(*) FROM studies").fetchone()[0] == 1
 
+    def test_report_subcommand_closes_every_store(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        opened, closed = [], []
+        real_init, real_close = ResultsStore.__init__, ResultsStore.close
+
+        def tracked_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            opened.append(self)
+
+        def tracked_close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(ResultsStore, "__init__", tracked_init)
+        monkeypatch.setattr(ResultsStore, "close", tracked_close)
+        rc = main([
+            "report", "--cache-dir", str(tmp_path / "cache"),
+            "--results-db", str(tmp_path / "r.db"), "--out-dir", "out",
+        ])
+        assert rc == 0
+        assert opened
+        assert [id(s) for s in opened] == [id(s) for s in closed]
+
     def test_study_subcommand_ingests_and_dedups(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 

@@ -8,6 +8,8 @@ pass catches *real* bugs, not hypothetical ones — every mutation here
 shipped in this repository at some point.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import dsl, gpu, validate
@@ -157,6 +159,40 @@ class TestResultInvariantMutations:
         text = str(exc.value)
         assert "hbm-at-least-compulsory" in text
         assert "reuse-miss-bytes-sane" in text
+
+
+class TestPaperClaimMutation:
+    """A ✓ in EXPERIMENTS.md is computed: break the study, the mark flips."""
+
+    def test_halved_a100_cuda_bricks_flips_table3(self):
+        from repro.results.report import experiments_md
+
+        study = experiments.run_study()
+        key = ("13pt", "A100-CUDA", "bricks_codegen")
+        res = study.results[key]
+        t = res.timing
+        slow = dataclasses.replace(res, timing=dataclasses.replace(
+            t, t_hbm=2 * t.t_hbm, t_l1=2 * t.t_l1, t_fp=2 * t.t_fp,
+            t_shuffle=2 * t.t_shuffle, t_issue=2 * t.t_issue,
+            launch_overhead=2 * t.launch_overhead,
+        ))
+        assert slow.gflops == pytest.approx(res.gflops / 2)
+        mutated = dataclasses.replace(
+            study, results={**study.results, key: slow}
+        )
+
+        report = validate.validate_study(mutated, golden_path=None, probes=False)
+        assert "table3-stencil-p" in names(report.violations)
+        assert "table3-stencil-p" not in names(
+            validate.validate_study(study, golden_path=None, probes=False).violations
+        )
+        doc = experiments_md(mutated)
+        flipped = [
+            line for line in doc.splitlines()
+            if line.startswith("- `table3-stencil-p`:")
+        ]
+        assert flipped and all(line.endswith("✗") for line in flipped)
+        assert "Claims outside their band:" in doc
 
 
 class TestHealthyBaseline:
