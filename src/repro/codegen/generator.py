@@ -97,15 +97,12 @@ _SHAPES: Dict[Tuple, Tuple[VectorProgram, List[Tuple[int, int, int]]]] = {}
 def memo_key(
     stencil: Stencil, dims: BrickDims, options: CodegenOptions
 ) -> Tuple:
-    """The key :func:`generate` memoises ``(stencil, dims, options)`` under."""
-    return (
-        stencil.output,
-        stencil.input,
-        stencil.ndim,
-        stencil.sorted_taps,
-        dims.dims,
-        options,
-    )
+    """The key :func:`generate` memoises ``(stencil, dims, options)`` under.
+
+    The stencil enters as its :attr:`~repro.dsl.stencil.Stencil.signature`,
+    whose hash is computed once per stencil.
+    """
+    return (stencil.signature, dims.dims, options)
 
 
 def clear_codegen_memo() -> None:
@@ -155,7 +152,7 @@ def generate(
                 sp.set_attr("ops", len(memoised.ops))
             return memoised
         counter("codegen.memo_misses").inc()
-        shape_key = (*key[:4], bk, bj, bi // vl, options.strategy, options.reuse)
+        shape_key = (key[0], bk, bj, bi // vl, options.strategy, options.reuse)
         shape = _SHAPES.get(shape_key)
         if shape is not None:
             prog = _rebind(*shape, dims, vl)

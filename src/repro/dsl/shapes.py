@@ -77,6 +77,10 @@ def from_weights(weights: Dict[Offset, float], ndim: int | None = None) -> Stenc
     return Stencil(output="out", input="in", ndim=ndim, taps=taps)
 
 
+#: Built catalog stencils, keyed by ``(shape, radius)``.
+_BUILT: Dict[Tuple[str, int], Stencil] = {}
+
+
 @dataclass(frozen=True)
 class StencilCase:
     """One row of the paper's Table 2: a named benchmark stencil."""
@@ -88,8 +92,19 @@ class StencilCase:
     unique_coefficients: int
 
     def build(self) -> Stencil:
-        factory = star if self.shape == "star" else cube
-        return factory(self.radius)
+        """This case's stencil: one shared value per ``(shape, radius)``.
+
+        A :class:`Stencil` is immutable, so every caller (CLI, tables,
+        figures, study items, invariants) shares the first build, along
+        with the counts it caches.  The ``star`` / ``cube`` factories
+        still return a new stencil per call.
+        """
+        key = (self.shape, self.radius)
+        stencil = _BUILT.get(key)
+        if stencil is None:
+            factory = star if self.shape == "star" else cube
+            stencil = _BUILT[key] = factory(self.radius)
+        return stencil
 
     def default_bindings(self) -> Dict[str, float]:
         """Deterministic non-trivial coefficient values for execution.

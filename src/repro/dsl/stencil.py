@@ -36,6 +36,11 @@ class Stencil:
         ordered ``(i, j, k, ...)`` with dimension 0 contiguous.
     ndim:
         Number of spatial dimensions.
+
+    A stencil is immutable: never change ``taps`` in place.  The
+    catalog shares one instance per Table 2 case
+    (:meth:`~repro.dsl.shapes.StencilCase.build`), and the values
+    derived from the taps are cached on first use.
     """
 
     output: str
@@ -70,12 +75,13 @@ class Stencil:
         return max(max(abs(c) for c in off) for off in self.taps)
 
     @functools.cached_property
-    def sorted_taps(self) -> Tuple[Tuple[Offset, Coeff], ...]:
-        """``(offset, coeff)`` pairs in offset order, computed once.
+    def signature(self) -> "StencilSignature":
+        """This stencil's semantic identity, built and hashed once.
 
-        The codegen memo keys every lookup on them.
+        The codegen memos key every lookup on it.
         """
-        return tuple(sorted(self.taps.items()))
+        taps = tuple(sorted(self.taps.items()))
+        return StencilSignature(self.output, self.input, self.ndim, taps)
 
     def offsets(self) -> Tuple[Offset, ...]:
         """All tap offsets in deterministic (lexicographic) order."""
@@ -110,6 +116,10 @@ class Stencil:
     # ---- coefficient analysis -------------------------------------------
     def unique_coefficients(self) -> int:
         """Number of distinct coefficient values (Table 2's last column)."""
+        return self._unique_coefficients
+
+    @functools.cached_property
+    def _unique_coefficients(self) -> int:
         return len({c.key() for c in self.taps.values()})
 
     def coefficient_groups(self) -> Dict[Tuple, Tuple[Offset, ...]]:
@@ -150,6 +160,34 @@ class Stencil:
     def description(self) -> str:
         """Short human-readable identity, e.g. ``'star(r=2, 13pt)'``."""
         return f"{self.shape_class()}(r={self.radius}, {self.points}pt)"
+
+
+@dataclass(frozen=True)
+class StencilSignature:
+    """What a generated program depends on: grids, rank and sorted taps.
+
+    Equal stencils give equal signatures.  The hash is computed once, at
+    construction: hashing ``taps`` walks every frozen ``Coeff`` (tens of
+    µs for the 125-point stencil), and a batch looks each group up under
+    it several times.
+    """
+
+    output: str
+    input: str
+    ndim: int
+    taps: Tuple[Tuple[Offset, Coeff], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = (self.output, self.input, self.ndim, self.taps)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rehash on unpickling.
+        return (StencilSignature, (self.output, self.input, self.ndim, self.taps))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.dsl.shapes import by_name
 from repro.harness.experiments import STENCIL_NAMES, ExperimentConfig, StudyResults
 from repro.harness.figures import (
     fig3,
-    fig4,
     fig5,
     fig6,
     render_correlation,
@@ -51,9 +50,9 @@ from repro.validate.claims import (
     PAPER_TABLE4,
     PAPER_TABLE5,
     ClaimResult,
+    Evidence,
     evaluate,
     is_paper_matrix,
-    speedups_over_array,
 )
 from repro.validate.golden import DEFAULT_GOLDEN_PATH, config_doc, load_golden
 
@@ -312,7 +311,8 @@ def _mi250x_array_note(study: StudyResults, t5: PortabilityTable) -> str:
 
 
 def _experiments_md_full(study: StudyResults) -> str:
-    rows = evaluate(study)
+    ev = Evidence.of(study)
+    rows = evaluate(ev)
     out = []
     w = out.append
     w("# EXPERIMENTS — paper vs. measured (simulated)")
@@ -359,12 +359,9 @@ def _experiments_md_full(study: StudyResults) -> str:
     out += _verdicts(rows, "Table 4")
 
     # ----- Tables 3 and 5 --------------------------------------------------
-    tables: Dict[int, PortabilityTable] = {}
-    for tbl_no, table_fn, paper in (
-        (3, table3, PAPER_TABLE3),
-        (5, table5, PAPER_TABLE5),
-    ):
-        t = tables[tbl_no] = table_fn(study)
+    tables = {3: ev.table3, 5: ev.table5}
+    for tbl_no, paper in ((3, PAPER_TABLE3), (5, PAPER_TABLE5)):
+        t = tables[tbl_no]
         metric = ("fraction of Roofline" if tbl_no == 3
                   else "fraction of theoretical AI")
         w(f"## Table {tbl_no} — performance portability from {metric}")
@@ -395,7 +392,7 @@ def _experiments_md_full(study: StudyResults) -> str:
     w("")
     w("| Platform | bricks-vs-array star (max) | cube (max) | Paper |")
     w("|---|---|---|---|")
-    for pname, (sm, cm) in speedups_over_array(study).items():
+    for pname, (sm, cm) in ev.gains.items():
         star, cube = PAPER_CODEGEN_GAINS[pname]
         w(f"| {pname} | {sm:.1f}x | {cm:.1f}x | {star}/{cube} |")
     w("")
@@ -404,7 +401,7 @@ def _experiments_md_full(study: StudyResults) -> str:
     # ----- Figure 4 --------------------------------------------------------
     w("## Figure 4 — L1 data movement")
     w("")
-    data = fig4(study)
+    data = ev.fig4
     w("| Platform | array (125pt) | bricks codegen (125pt) | ratio | Paper |")
     w("|---|---|---|---|---|")
     for pname in ("A100-CUDA", "MI250X-HIP", "PVC-SYCL"):

@@ -16,7 +16,7 @@ every figure and portability metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -59,13 +59,35 @@ def sweep(platform: Platform, num_points: int = 33) -> List[MixbenchPoint]:
     return points
 
 
+#: Derived Rooflines, keyed on every platform value the sweep reads.
+_ROOFLINES: Dict[Tuple, Roofline] = {}
+
+
 def empirical_roofline(platform: Platform) -> Roofline:
     """Derive the platform's Roofline from the mixbench sweep envelope.
 
     The bandwidth ceiling is the steepest observed GFLOP/s-per-AI slope
     (low-AI asymptote); the compute ceiling is the high-AI plateau.
+
+    The sweep runs once per distinct input: the result is memoised on
+    the name plus the five numbers :func:`_synthetic_time` reads, so a
+    platform rebuilt with other knobs (``dataclasses.replace``) gets
+    its own ceilings.
     """
-    pts = sweep(platform)
-    bw = max(p.gflops * 1e9 / p.ai for p in pts)
-    peak = max(p.gflops * 1e9 for p in pts)
-    return Roofline(name=platform.name, peak_flops=peak, peak_bw=bw)
+    arch, prof = platform.arch, platform.profile
+    key = (
+        platform.name,
+        arch.hbm_bw,
+        arch.peak_fp64,
+        prof.mixbench_bw_frac,
+        prof.mixbench_fp_frac,
+        prof.launch_overhead_s,
+    )
+    roof = _ROOFLINES.get(key)
+    if roof is None:
+        pts = sweep(platform)
+        bw = max(p.gflops * 1e9 / p.ai for p in pts)
+        peak = max(p.gflops * 1e9 for p in pts)
+        roof = Roofline(name=platform.name, peak_flops=peak, peak_bw=bw)
+        _ROOFLINES[key] = roof
+    return roof

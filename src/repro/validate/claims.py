@@ -589,12 +589,13 @@ CLAIMS: Tuple[Claim, ...] = (
     ),
 )
 
-def evaluate(study: StudyResults) -> List[ClaimResult]:
+def evaluate(study: "StudyResults | Evidence") -> List[ClaimResult]:
     """Measure every claim on ``study``, in :data:`CLAIMS` order.
 
     Only meaningful on the paper's matrix (:func:`is_paper_matrix`).
+    Pass an :class:`Evidence` to reuse tables and series already built.
     """
-    ev = Evidence.of(study)
+    ev = study if isinstance(study, Evidence) else Evidence.of(study)
     rows = []
     for c in CLAIMS:
         measured = float(c.measure(ev))

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.bricks.layout import BrickDims
-from repro.dsl.shapes import by_name
+from repro.dsl.shapes import by_name, star
 from repro.errors import MetricError, SimulationError
 from repro.exec import parallel_map
 from repro.gpu import BatchPoint, simulate, simulate_batch, study_platforms
@@ -163,6 +163,8 @@ class TestDistinctEqualObjects:
         Every (stencil, platform, variant) comes back after 30 points, so
         a fresh copy misses the identity key and must resolve to the
         group its equal twin made earlier, not to the newest group.
+        Fresh stencils come from the ``star`` factory: ``build()``
+        returns one shared stencil per catalog case.
         """
         names = ("7pt", "13pt")
         shared = {name: by_name(name).build() for name in names}
@@ -173,7 +175,7 @@ class TestDistinctEqualObjects:
             if fresh and n % 7 == 0:
                 plat = dataclasses.replace(plat)
             points.append(BatchPoint(
-                stencil=by_name(name).build() if fresh else shared[name],
+                stencil=star(by_name(name).radius) if fresh else shared[name],
                 variant=("array", "array_codegen", "bricks_codegen")[n % 3],
                 platform=plat,
                 domain=(128, 8, 8 + 4 * (n % 4)),

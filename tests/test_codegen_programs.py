@@ -425,12 +425,15 @@ class TestShapeMemo:
 
     @pytest.mark.parametrize("name", STENCIL_NAMES)
     def test_memo_key_reads_the_cached_sorted_taps(self, name):
-        stencil = by_name(name).build()
+        case = by_name(name)
+        stencil = case.build()
         options = CodegenOptions(16)
         key = generator.memo_key(stencil, DIMS, options)
         sorted_taps = tuple(sorted(stencil.taps.items()))
-        assert key[3] is stencil.sorted_taps and key[3] == sorted_taps
-        rebuilt = generator.memo_key(by_name(name).build(), DIMS, options)
+        assert key[0] is stencil.signature and key[0].taps == sorted_taps
+        fresh = (star if case.shape == "star" else cube)(case.radius)
+        assert fresh is not stencil
+        rebuilt = generator.memo_key(fresh, DIMS, options)
         assert rebuilt == key and hash(rebuilt) == hash(key)
 
     def test_clear_empties_the_shape_memo(self):
