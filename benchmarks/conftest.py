@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark suite.
 
-The ablation, scaling and kernel-execution benches live here; the
+The ablation and kernel-execution benches live here; the
 paper's tables and figures are printed by ``repro-stencil table N`` /
 ``figure N`` and their claims checked by ``repro-stencil validate``.
 """

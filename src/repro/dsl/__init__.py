@@ -28,7 +28,7 @@ from repro.dsl.analysis import (
     total_flops,
 )
 from repro.dsl.coeffs import Coeff, CoeffTerm
-from repro.dsl.derivatives import biharmonic, gradient_component, laplacian
+from repro.dsl.derivatives import biharmonic, compose, gradient_component, laplacian
 from repro.dsl.expr import Const, ConstRef, Expr, GridRef
 from repro.dsl.grid import Grid, GridAccess
 from repro.dsl.indices import Index, ShiftedIndex
@@ -56,6 +56,7 @@ __all__ = [
     "biharmonic",
     "by_name",
     "catalog",
+    "compose",
     "compulsory_bytes",
     "cube",
     "gradient_component",

@@ -5,7 +5,8 @@ discretisations ("a fourth-order accurate Laplacian stencil", Figure 1).
 These factories build the actual operators — central-difference
 Laplacians of order 2/4/6/8, gradients, and the biharmonic — with the
 textbook coefficients, so solvers get discretisations that are exact by
-construction rather than symbolic placeholders.
+construction rather than symbolic placeholders.  ``compose`` builds the
+operator equivalent to applying two stencils in turn.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
+from repro.dsl.coeffs import Coeff
 from repro.dsl.shapes import from_weights
 from repro.dsl.stencil import Offset, Stencil
 from repro.errors import DSLError
@@ -44,6 +46,35 @@ def _check_order(order: int, table: Dict[int, Dict[int, Fraction]]) -> None:
         raise DSLError(
             f"unsupported accuracy order {order}; available: {sorted(table)}"
         )
+
+
+def compose(second: Stencil, first: Stencil) -> Stencil:
+    """The stencil equivalent to applying ``first`` then ``second``.
+
+    Tap weights convolve (radius ``r_first + r_second``); symbolic
+    coefficients multiply symbolically (composing two ``B0/B1`` stencils
+    yields ``B0*B0``, ``B0*B1`` ... terms), so bindings for the original
+    symbols still evaluate the composition correctly.
+    """
+    if second.ndim != first.ndim:
+        raise DSLError(
+            f"cannot compose {second.ndim}-D with {first.ndim}-D stencils"
+        )
+    taps: Dict[Offset, Coeff] = {}
+    for off2, c2 in second.taps.items():
+        for off1, c1 in first.taps.items():
+            off = tuple(a + b for a, b in zip(off2, off1))
+            prod = c2 * c1
+            taps[off] = taps[off] + prod if off in taps else prod
+    taps = {o: c for o, c in taps.items() if not c.is_zero()}
+    if not taps:
+        raise DSLError("composition annihilated every tap")
+    return Stencil(
+        output=second.output,
+        input=first.input,
+        ndim=first.ndim,
+        taps=taps,
+    )
 
 
 def laplacian(order: int = 2, ndim: int = 3, h: float = 1.0) -> Stencil:
@@ -91,8 +122,6 @@ def biharmonic(ndim: int = 3, h: float = 1.0) -> Stencil:
     A star-plus-planar-diagonals stencil; the classic plate-bending /
     thin-film operator.
     """
-    from repro.temporal.compose import compose
-
     lap = laplacian(order=2, ndim=ndim, h=h)
     return compose(lap, lap)
 

@@ -58,9 +58,6 @@ SHUFFLE_CYCLES = {
     "NVIDIA": 3.0,
     "AMD": 1.0,
     "Intel": 2.5,
-    # CPU lane shifts are in-register valign/ext instructions: cheap.
-    "IntelCPU": 0.5,
-    "ArmCPU": 0.5,
 }
 
 

@@ -9,6 +9,7 @@ artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.analysis import analyze, theoretical_ai
@@ -24,8 +25,8 @@ from repro.roofline.mixbench import empirical_roofline
 # ---------------------------------------------------------------------------
 
 
-def table2() -> List[Dict]:
-    """Rows of Table 2: shape, radius, points, unique coefficients."""
+@lru_cache(maxsize=1)
+def _table2_rows() -> Tuple[Dict, ...]:
     rows = []
     for case in TABLE2:
         a = analyze(case.build(), name=case.name)
@@ -38,7 +39,16 @@ def table2() -> List[Dict]:
                 "unique_coefficients": a.unique_coefficients,
             }
         )
-    return rows
+    return tuple(rows)
+
+
+def table2() -> List[Dict]:
+    """Rows of Table 2: shape, radius, points, unique coefficients.
+
+    The catalog is static, so the rows are built once per process;
+    each call returns fresh copies.
+    """
+    return [dict(r) for r in _table2_rows()]
 
 
 def render_table2() -> str:
@@ -57,18 +67,22 @@ def render_table2() -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _table4_rows() -> Tuple[Dict, ...]:
+    return tuple(
+        {
+            "name": case.name,
+            "shape": case.shape,
+            "points": case.points,
+            "theoretical_ai": theoretical_ai(case.build()),
+        }
+        for case in TABLE2
+    )
+
+
 def table4() -> List[Dict]:
-    rows = []
-    for case in TABLE2:
-        rows.append(
-            {
-                "name": case.name,
-                "shape": case.shape,
-                "points": case.points,
-                "theoretical_ai": theoretical_ai(case.build()),
-            }
-        )
-    return rows
+    """Rows of Table 4, built once per process like :func:`table2`."""
+    return [dict(r) for r in _table4_rows()]
 
 
 def render_table4() -> str:

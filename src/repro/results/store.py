@@ -53,6 +53,7 @@ import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.codegen.cost import ProgramCost
@@ -224,6 +225,17 @@ class IngestOutcome:
     replaced: bool
 
 
+@lru_cache(maxsize=1)
+def package_revision() -> str:
+    """The git revision of the checkout this package runs from.
+
+    Probed once per process (two ``git`` subprocesses) from the
+    package's own directory, so the process's working directory does
+    not matter; ``unknown`` outside a checkout.
+    """
+    return git_state(os.path.dirname(os.path.abspath(__file__)))[0]
+
+
 class ResultsStore:
     """Append-and-query interface over one result database file.
 
@@ -295,8 +307,7 @@ class ResultsStore:
                     replaced=False,
                 )
             if git_rev is None:
-                # Two ``git`` subprocesses: paid only when a row is written.
-                git_rev = git_state()[0]
+                git_rev = package_revision()
             replaced = row is not None
             if replaced:
                 # The stored study is strictly worse (a degraded run

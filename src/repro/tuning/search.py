@@ -68,13 +68,7 @@ class Autotuner:
         candidate's error raises, as a scalar loop would.  The batch is
         deterministic pure math, so there is nothing to retry.
         """
-        key = (
-            stencil.offsets(),
-            tuple(sorted(c.key() for c in stencil.taps.values())),
-            platform.name,
-            domain,
-            self.variant,
-        )
+        key = (stencil.signature, platform.name, domain, self.variant)
         if key in self._cache:
             counter("tune_cache.hits").inc()
             return self._cache[key]

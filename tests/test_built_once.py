@@ -5,7 +5,8 @@ Rooflines are shared, not rebuilt per table cell.  These checks pin
 that down without timing anything: a shared stencil stays equal to a
 fresh build (nobody mutates it), each Roofline is memoised on exactly
 the inputs its sweep reads, and a repeated report calls neither the
-stencil factories nor the mixbench sweep.
+stencil factories, the mixbench sweep nor the Table 2 / Table 4
+analysis.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from repro import harness
 from repro.dsl import shapes
 from repro.gpu import platform
-from repro.harness import STENCIL_NAMES
+from repro.harness import STENCIL_NAMES, tables
 from repro.results import DirectProvider
 from repro.results.report import generate_report
 from repro.roofline import mixbench
@@ -78,19 +79,29 @@ def test_empirical_roofline_is_memoised_on_its_inputs():
     assert mixbench.empirical_roofline(plat) is roof
 
 
+def counting(fn, calls):
+    """``fn``, recording its name in ``calls`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_a_repeated_report_builds_nothing(monkeypatch, paper_study):
     provider = DirectProvider(paper_study)
     first = generate_report(provider, golden_path=None)
     calls = []
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for module, attr in ((shapes, "star"), (shapes, "cube"), (mixbench, "sweep")):
-        monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
+    for module, attr in ((shapes, "star"), (shapes, "cube"), (mixbench, "sweep"),
+                         (tables, "analyze"), (tables, "theoretical_ai")):
+        monkeypatch.setattr(module, attr, counting(getattr(module, attr), calls))
     assert generate_report(provider, golden_path=None) == first
     assert calls == []
+
+
+def test_tables_2_and_4_hand_out_copies_of_one_build():
+    first2, first4 = tables.table2(), tables.table4()
+    first2[0]["points"] = first4[0]["theoretical_ai"] = -1
+    assert tables.table2()[0]["points"] == shapes.TABLE2[0].points
+    assert tables.table4()[0]["theoretical_ai"] > 0

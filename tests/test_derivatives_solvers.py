@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro import dsl, gpu
 from repro.dsl.derivatives import (
     biharmonic,
+    compose,
     gradient_component,
     laplacian,
 )
 from repro.errors import DSLError
-from repro.reference import apply_interior, apply_periodic
+from repro.reference import apply_interior, apply_periodic, random_field
 from repro.reference.solvers import HeatSolver, WaveSolver
 
 PLAT = gpu.platform("PVC", "SYCL")  # 16-wide tiles suit small domains
@@ -102,6 +105,66 @@ class TestBiharmonic:
         field = x**3 + y**3 - z**3 + x * y * z
         out = apply_interior(biharmonic(), field, {})
         np.testing.assert_allclose(out, 0.0, atol=1e-8)
+
+
+class TestCompose:
+    def test_composition_radius_adds(self):
+        s = dsl.star(1)
+        c = compose(s, s)
+        assert c.radius == 2
+
+    def test_composition_matches_sequential_application(self):
+        case = dsl.by_name("7pt")
+        s, b = case.build(), case.default_bindings()
+        c = compose(s, s)
+        field = random_field((12, 12, 12), seed=1)
+        two_steps = apply_periodic(s, apply_periodic(s, field, b), b)
+        composed = apply_periodic(c, field, b)
+        np.testing.assert_allclose(composed, two_steps, rtol=1e-12, atol=1e-12)
+
+    def test_symbolic_coefficients_multiply(self):
+        s = dsl.star(1)
+        c = compose(s, s)
+        # The centre tap of the square holds B0^2 + 6 B1^2 terms.
+        centre = c.taps[(0, 0, 0)]
+        val = centre.evaluate({"B0": 2.0, "B1": 3.0})
+        assert val == pytest.approx(2.0**2 + 6 * 3.0**2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DSLError):
+            compose(dsl.star(1), dsl.star(1, ndim=2))
+
+    def test_cancellation_detected(self):
+        plus = dsl.from_weights({(0, 0, 0): 1.0})
+        minus = dsl.from_weights({(0, 0, 0): -1.0})
+        c = compose(plus, minus)
+        assert c.weights()[(0, 0, 0)] == -1.0
+        # (1 + x)(1 - x) = 1 - x^2: the x taps cancel and are dropped.
+        a = dsl.from_weights({(0, 0, 0): 1.0, (1, 0, 0): 1.0})
+        b = dsl.from_weights({(0, 0, 0): 1.0, (1, 0, 0): -1.0})
+        assert compose(a, b).weights() == {(0, 0, 0): 1.0, (2, 0, 0): -1.0}
+
+    def test_annihilation_raises(self):
+        tiny = dsl.from_weights({(0, 0, 0): 1e-200})
+        with pytest.raises(DSLError, match="annihilated"):
+            compose(tiny, tiny)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        w1=hst.floats(-2, 2).filter(lambda v: abs(v) > 1e-3),
+        w2=hst.floats(-2, 2).filter(lambda v: abs(v) > 1e-3),
+        seed=hst.integers(0, 30),
+    )
+    def test_composition_property(self, w1, w2, seed):
+        a = dsl.from_weights({(0, 0, 0): w1, (1, 0, 0): 0.5, (0, -1, 0): -0.25})
+        b = dsl.from_weights({(0, 0, 0): w2, (0, 0, 1): 1.0})
+        c = compose(b, a)
+        f = random_field((8, 8, 8), seed=seed)
+        np.testing.assert_allclose(
+            apply_periodic(c, f),
+            apply_periodic(b, apply_periodic(a, f)),
+            rtol=1e-10, atol=1e-10,
+        )
 
 
 class TestHeatSolver:

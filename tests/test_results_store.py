@@ -13,6 +13,7 @@ from repro.harness.experiments import (
     StudyResults,
 )
 from repro.harness.serialization import study_to_dict
+from repro.results import store as results_store
 from repro.results import (
     RESULTS_DB_ENV,
     RESULTS_SCHEMA_VERSION,
@@ -39,6 +40,14 @@ def small_study():
 @pytest.fixture(scope="module")
 def two_study():
     return harness.run_study(TWO)
+
+
+@pytest.fixture
+def fresh_revision():
+    """Clear the per-process revision memo before and after the test."""
+    results_store.package_revision.cache_clear()
+    yield
+    results_store.package_revision.cache_clear()
 
 
 def degraded_copy(study, drop=1):
@@ -82,11 +91,12 @@ class TestStoreBasics:
             == len(small_study)
         )
 
-    def test_dedup_ingest_runs_no_git(self, small_study, tmp_path, monkeypatch):
+    def test_dedup_ingest_runs_no_git(self, small_study, tmp_path, monkeypatch,
+                                      fresh_revision):
         calls = []
 
-        def counting_git_state():
-            calls.append(1)
+        def counting_git_state(cwd=None):
+            calls.append(cwd)
             return ("abc123", False)
 
         monkeypatch.setattr("repro.results.store.git_state", counting_git_state)
@@ -95,6 +105,24 @@ class TestStoreBasics:
             assert len(calls) == 1
             assert store.ingest_study(small_study).dedup
         assert len(calls) == 1
+
+    def test_revision_is_read_once_per_process(self, small_study, tmp_path,
+                                               monkeypatch, fresh_revision):
+        calls = []
+
+        def counting_git_state(cwd=None):
+            calls.append(cwd)
+            return ("abc123", False)
+
+        monkeypatch.setattr("repro.results.store.git_state", counting_git_state)
+        monkeypatch.chdir(tmp_path)
+        for name in ("a.db", "b.db"):
+            with ResultsStore(str(tmp_path / name)) as store:
+                store.ingest_study(small_study)
+        # Probed once, from the package's directory, not the cwd.
+        assert calls == [os.path.dirname(os.path.abspath(results_store.__file__))]
+        conn = sqlite3.connect(str(tmp_path / "b.db"))
+        assert conn.execute("SELECT git_rev FROM studies").fetchone()[0] == "abc123"
 
     def test_degraded_then_complete_replaces(self, small_study, tmp_path):
         db = str(tmp_path / "r.db")

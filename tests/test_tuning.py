@@ -70,6 +70,25 @@ class TestAutotuner:
         assert mid == before + 1 and tuner.cache_size() == mid
         assert a is b
 
+    def test_cache_keeps_coefficients_at_their_offsets(self):
+        # Same offsets and coefficient multiset, B0 and B1 swapped
+        # between the centre and +x: a different stencil, its own entry.
+        orig = dsl.star(1)
+        taps = dict(orig.taps)
+        taps[(0, 0, 0)], taps[(1, 0, 0)] = taps[(1, 0, 0)], taps[(0, 0, 0)]
+        swapped = dsl.Stencil(output=orig.output, input=orig.input,
+                              ndim=orig.ndim, taps=taps)
+        assert swapped != orig and swapped.signature != orig.signature
+        tuner = Autotuner(space=TuningSpace(
+            i_extents=(32,), jk_extents=(4,), orderings=("lex",)
+        ))
+        plat = gpu.platform("A100", "CUDA")
+        tuner.tune(orig, plat, domain=(64, 64, 64), stencil_name="orig")
+        out = tuner.tune(swapped, plat, domain=(64, 64, 64),
+                         stencil_name="swapped")
+        assert tuner.cache_size() == 2
+        assert out.best_result.stencil_name == "swapped"
+
     def test_speedup_over(self, tuner):
         s = dsl.by_name("27pt").build()
         out = tuner.tune(s, gpu.platform("MI250X", "HIP"))
