@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.codegen.vector_ir import Add, Load, Mac, Shift, Store, VectorProgram
+from repro.codegen.vector_ir import Add, Load, Mac, Op, Shift, Store, VectorProgram
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,41 @@ class ProgramCost:
         )
 
 
-def cost_of(program: VectorProgram) -> ProgramCost:
-    """Tally ``program``'s static costs by op type and load kind."""
-    bk, bj, bi = program.tile
-    ops = program.ops
-    tally = Counter(map(type, ops))
+def op_tally(ops: List[Op]) -> Tuple[int, ...]:
+    """Counts of ``ops`` by load kind and op type, in :class:`ProgramCost`
+    field order: aligned, halo and unaligned loads, shuffles, adds, macs
+    and stores.  None of them depends on the vector length."""
+    types = Counter(map(type, ops))
     loads = Counter(op.kind for op in ops if type(op) is Load)
+    return (
+        loads["aligned"], loads["halo"], loads["unaligned"],
+        types[Shift], types[Add], types[Mac], types[Store],
+    )
+
+
+def cost_of(program: VectorProgram) -> ProgramCost:
+    """Tally ``program``'s static costs by op type and load kind.
+
+    A program ``generate`` returned carries its tally from its shape's
+    first build, so this walks no ops for it; only a naive program's
+    liveness peak is scanned again.
+    """
+    bk, bj, bi = program.tile
+    tally = program._tally
+    if tally is None:
+        tally = op_tally(program.ops)
+    aligned, halo, unaligned, shuffles, adds, macs, stores = tally
     return ProgramCost(
         tile_points=bk * bj * bi,
         vl=program.vl,
-        loads_aligned=loads["aligned"],
-        loads_halo=loads["halo"],
-        loads_unaligned=loads["unaligned"],
-        shuffles=tally[Shift],
-        adds=tally[Add],
-        macs=tally[Mac],
-        stores=tally[Store],
+        loads_aligned=aligned,
+        loads_halo=halo,
+        loads_unaligned=unaligned,
+        shuffles=shuffles,
+        adds=adds,
+        macs=macs,
+        stores=stores,
         registers=program.max_live_registers(),
         # only the r lanes of a halo load next to the tile are real
-        halo_lanes=loads["halo"] * program.radius,
+        halo_lanes=halo * program.radius,
     )

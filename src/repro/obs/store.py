@@ -37,6 +37,7 @@ import sqlite3
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.dbfile import open_versioned_db
@@ -58,6 +59,7 @@ __all__ = [
     "RunRecord",
     "TelemetryStore",
     "git_state",
+    "package_git_state",
     "resolve_db_path",
 ]
 
@@ -144,6 +146,18 @@ def git_state(cwd: Optional[str] = None) -> Tuple[str, bool]:
         return ("unknown", False)
 
 
+@lru_cache(maxsize=1)
+def package_git_state() -> Tuple[str, bool]:
+    """:func:`git_state` of the checkout this package runs from.
+
+    Probed once per process (two ``git`` subprocesses) from the
+    package's own directory, so the process's working directory does
+    not matter; ``("unknown", False)`` outside a checkout.  A
+    long-running process keeps the state it first saw.
+    """
+    return git_state(os.path.dirname(os.path.abspath(__file__)))
+
+
 @dataclass(frozen=True)
 class GateResult:
     """One named bench-gate outcome (e.g. ``cachesim.speedup`` = 8.0, pass)."""
@@ -227,16 +241,17 @@ class TelemetryStore:
 
         Spans come from ``roots`` when given, else the ``tracer``
         (default: the global one); metrics from ``registry`` (default:
-        the global one).  ``git_rev``/``git_dirty`` default to probing
-        the working tree — pass them explicitly in tests to skip the
-        subprocess.  ``failed_points`` defaults to the registry's
+        the global one).  ``git_rev``/``git_dirty`` default to
+        :func:`package_git_state`, the checkout this package runs from,
+        probed once per process — pass them explicitly in tests to skip
+        the subprocess.  ``failed_points`` defaults to the registry's
         ``exec.failed_points`` counter.
         """
         if roots is None:
             roots = (tracer or get_tracer()).roots()
         registry = registry or get_registry()
         if git_rev is None or git_dirty is None:
-            probed_rev, probed_dirty = git_state()
+            probed_rev, probed_dirty = package_git_state()
             git_rev = probed_rev if git_rev is None else git_rev
             git_dirty = probed_dirty if git_dirty is None else git_dirty
         if failed_points is None:

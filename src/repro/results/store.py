@@ -53,7 +53,6 @@ import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.codegen.cost import ProgramCost
@@ -71,7 +70,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.serialization import SCHEMA_VERSION, study_cache_key
 from repro.obs import counter
-from repro.obs.store import git_state
+from repro.obs.store import package_git_state
 
 __all__ = [
     "RESULTS_DB_ENV",
@@ -225,17 +224,6 @@ class IngestOutcome:
     replaced: bool
 
 
-@lru_cache(maxsize=1)
-def package_revision() -> str:
-    """The git revision of the checkout this package runs from.
-
-    Probed once per process (two ``git`` subprocesses) from the
-    package's own directory, so the process's working directory does
-    not matter; ``unknown`` outside a checkout.
-    """
-    return git_state(os.path.dirname(os.path.abspath(__file__)))[0]
-
-
 class ResultsStore:
     """Append-and-query interface over one result database file.
 
@@ -307,7 +295,7 @@ class ResultsStore:
                     replaced=False,
                 )
             if git_rev is None:
-                git_rev = package_revision()
+                git_rev = package_git_state()[0]
             replaced = row is not None
             if replaced:
                 # The stored study is strictly worse (a degraded run

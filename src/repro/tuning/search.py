@@ -3,12 +3,13 @@
 The objective is the simulator's predicted sweep time — the same role
 real BrickLib autotuning plays with on-device timings.  Results are
 memoised per (stencil, platform, domain) so repeated tuning calls are
-free, mirroring a persisted autotuning database.
+free, mirroring a persisted autotuning database; a cache hit is
+labelled with the caller's stencil name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.dsl.stencil import Stencil
@@ -68,14 +69,21 @@ class Autotuner:
         candidate's error raises, as a scalar loop would.  The batch is
         deterministic pure math, so there is nothing to retry.
         """
+        name = stencil_name or stencil.description()
         key = (stencil.signature, platform.name, domain, self.variant)
-        if key in self._cache:
+        cached = self._cache.get(key)
+        if cached is not None:
             counter("tune_cache.hits").inc()
-            return self._cache[key]
+            if cached.best_result.stencil_name == name:
+                return cached
+            return replace(
+                cached,
+                best_result=replace(cached.best_result, stencil_name=name),
+            )
         counter("tune_cache.misses").inc()
         with span(
             "tune.search",
-            stencil=stencil_name or stencil.description(),
+            stencil=name,
             platform=platform.name,
             variant=self.variant,
         ) as sp:

@@ -4,9 +4,9 @@ The six Table 2 stencils, the counts a stencil caches and the empirical
 Rooflines are shared, not rebuilt per table cell.  These checks pin
 that down without timing anything: a shared stencil stays equal to a
 fresh build (nobody mutates it), each Roofline is memoised on exactly
-the inputs its sweep reads, and a repeated report calls neither the
+the inputs its sweep reads, a repeated report calls neither the
 stencil factories, the mixbench sweep nor the Table 2 / Table 4
-analysis.
+analysis, and one report computes each table and figure series once.
 """
 
 import dataclasses
@@ -17,10 +17,11 @@ import pytest
 from repro import harness
 from repro.dsl import shapes
 from repro.gpu import platform
-from repro.harness import STENCIL_NAMES, tables
-from repro.results import DirectProvider
+from repro.harness import STENCIL_NAMES, figures, tables
+from repro.results import DirectProvider, report
 from repro.results.report import generate_report
 from repro.roofline import mixbench
+from repro.validate import claims
 
 
 def fresh(name):
@@ -98,6 +99,21 @@ def test_a_repeated_report_builds_nothing(monkeypatch, paper_study):
         monkeypatch.setattr(module, attr, counting(getattr(module, attr), calls))
     assert generate_report(provider, golden_path=None) == first
     assert calls == []
+
+
+def test_a_report_computes_each_table_and_series_once(monkeypatch, paper_study):
+    # TABLES.txt, FIGURES.txt and EXPERIMENTS.md read one Evidence.
+    provider = DirectProvider(paper_study)
+    first = generate_report(provider)
+    builders = ("table3", "table5", "fig3", "fig4", "fig5", "fig6", "fig7")
+    calls = []
+    for module in (report, claims, figures, tables):
+        for attr in builders:
+            if hasattr(module, attr):
+                fn = getattr(module, attr)
+                monkeypatch.setattr(module, attr, counting(fn, calls))
+    assert generate_report(provider) == first
+    assert sorted(calls) == sorted(builders)
 
 
 def test_tables_2_and_4_hand_out_copies_of_one_build():

@@ -5,7 +5,7 @@ import pytest
 from repro import harness, obs
 from repro.bricks import BrickDims
 from repro.codegen import CodegenOptions, clear_codegen_memo, cost_of, generate
-from repro.codegen import generator, vector_ir
+from repro.codegen import cost, generator, vector_ir
 from repro.codegen.vector_ir import (
     Add,
     Init,
@@ -416,12 +416,47 @@ class TestShapeMemo:
             assert (prog.tile, prog.vl, prog.radius) == (direct.tile, vl, direct.radius)
             assert (prog.strategy, prog.meta) == (direct.strategy, direct.meta)
             assert prog.max_live_registers() == vector_ir._liveness_peak(direct.ops)
+            assert cost_of(prog) == cost_of(direct)
         assert len(generator._SHAPES) == 1
 
     def test_naive_peaks_stay_uncached(self):
         stencil = by_name("13pt").build()
         for vl in (self.PRIME_VL, *self.VLS):
             assert gen(stencil, "naive", vl, BrickDims((vl, 4, 4)))._peak is None
+
+    @pytest.mark.parametrize(
+        "strategy, op_type, bad",
+        [
+            ("naive", Load, lambda vl: 4 * vl),  # past the right halo
+            ("gather", Load, lambda vl: -2 * vl),  # past the left halo
+            ("scatter", Shift, lambda vl: vl),  # a whole vector
+        ],
+    )
+    def test_corrupt_rebound_field_fails_like_validate(
+        self, strategy, op_type, bad
+    ):
+        def dims(vl):
+            return BrickDims((2 * vl, 4, 4))  # naive re-binds only v > 0
+
+        stencil = by_name("13pt").build()
+        gen(stencil, strategy, self.PRIME_VL, dims(self.PRIME_VL))
+        (shape_key, (built, fields)), = generator._SHAPES.items()
+        at = next(at for at, _, _ in fields if type(built.ops[at]) is op_type)
+        vl = self.VLS[0]
+        value = bad(vl)
+        corrupt = [f if f[0] != at else (at, 0, value) for f in fields]
+        generator._SHAPES[shape_key] = (built, corrupt)
+        with pytest.raises(CodegenError) as rebound:
+            gen(stencil, strategy, vl, dims(vl))
+        # The same ops with every check run.
+        direct, _ = generator._build(
+            stencil, dims(vl), CodegenOptions(vl, strategy)
+        )
+        field = "i0" if op_type is Load else "amount"
+        direct.ops[at] = direct.ops[at]._replace(**{field: value})
+        with pytest.raises(CodegenError) as full:
+            direct.validate()
+        assert str(rebound.value) == str(full.value)
 
     @pytest.mark.parametrize("name", STENCIL_NAMES)
     def test_memo_key_reads_the_cached_sorted_taps(self, name):
@@ -443,11 +478,23 @@ class TestShapeMemo:
         assert not generator._SHAPES
 
     def test_cold_study_validates_once_per_miss(self, monkeypatch):
-        validated = []
-        validate = VectorProgram.validate
+        # 36 misses: 12 shapes (6 stencils x naive/auto) validated and
+        # tallied at their first build, and 24 re-binds that check the
+        # fields they rewrote and keep the tally (cost_of counts none).
+        validated, rebound, tallied = [], [], []
+        tally = cost.op_tally
+        for module in (cost, generator):
+            monkeypatch.setattr(
+                module, "op_tally", lambda ops: tallied.append(1) or tally(ops)
+            )
+        validate, validate_vl = VectorProgram.validate, VectorProgram.validate_vl
         monkeypatch.setattr(
             VectorProgram, "validate",
             lambda prog: validated.append(prog.vl) or validate(prog),
+        )
+        monkeypatch.setattr(
+            VectorProgram, "validate_vl",
+            lambda prog, at: rebound.append(prog.vl) or validate_vl(prog, at),
         )
         prev = obs.get_registry()
         registry = obs.set_registry(obs.MetricsRegistry())
@@ -457,8 +504,10 @@ class TestShapeMemo:
             obs.set_registry(prev)
         assert len(study) == 90 and study.complete
         assert registry.counter("codegen.memo_misses").value == 36
-        assert len(validated) == 36
-        assert sorted(set(validated)) == [16, 32, 64]
+        assert len(validated) == 12
+        assert len(rebound) == 24
+        assert len(tallied) == 12
+        assert sorted(set(validated + rebound)) == [16, 32, 64]
 
 
 class TestOps:

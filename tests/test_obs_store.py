@@ -1,11 +1,13 @@
 """Tests for the telemetry warehouse (repro.obs.store)."""
 
+import os
 import sqlite3
 
 import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
+from repro.obs import store as obs_store
 
 
 def fake_clock():
@@ -101,6 +103,33 @@ class TestRoundtrip:
         assert run.duration_s == pytest.approx(1.25)
         assert run.extra == {"note": "hello"}
         assert "T" in run.created_utc  # ISO-8601 timestamp
+
+    def test_default_revision_is_the_packages_probed_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Recorded from a directory outside any checkout, the run still
+        # carries the revision and dirty flag of the checkout the
+        # package runs from, and two runs share one probe.
+        package_dir = os.path.dirname(os.path.abspath(obs_store.__file__))
+        expected = obs_store.git_state(package_dir)
+        calls = []
+        probe = obs_store.git_state
+        monkeypatch.setattr(
+            obs_store, "git_state", lambda cwd=None: calls.append(cwd) or probe(cwd)
+        )
+        monkeypatch.chdir(tmp_path)
+        obs_store.package_git_state.cache_clear()
+        try:
+            with obs.TelemetryStore(str(tmp_path / "t.db")) as store:
+                runs = [
+                    store.run(record_sample(store, git_rev=None, git_dirty=None))
+                    for _ in range(2)
+                ]
+        finally:
+            obs_store.package_git_state.cache_clear()
+        assert calls == [package_dir]
+        for run in runs:
+            assert (run.git_rev, run.git_dirty) == expected
 
     def test_span_tree_roundtrips(self, tmp_path):
         with obs.TelemetryStore(str(tmp_path / "t.db")) as store:

@@ -13,7 +13,7 @@ from repro.harness.experiments import (
     StudyResults,
 )
 from repro.harness.serialization import study_to_dict
-from repro.results import store as results_store
+from repro.obs import store as obs_store
 from repro.results import (
     RESULTS_DB_ENV,
     RESULTS_SCHEMA_VERSION,
@@ -45,9 +45,9 @@ def two_study():
 @pytest.fixture
 def fresh_revision():
     """Clear the per-process revision memo before and after the test."""
-    results_store.package_revision.cache_clear()
+    obs_store.package_git_state.cache_clear()
     yield
-    results_store.package_revision.cache_clear()
+    obs_store.package_git_state.cache_clear()
 
 
 def degraded_copy(study, drop=1):
@@ -99,7 +99,7 @@ class TestStoreBasics:
             calls.append(cwd)
             return ("abc123", False)
 
-        monkeypatch.setattr("repro.results.store.git_state", counting_git_state)
+        monkeypatch.setattr("repro.obs.store.git_state", counting_git_state)
         with ResultsStore(str(tmp_path / "r.db")) as store:
             store.ingest_study(small_study)
             assert len(calls) == 1
@@ -114,13 +114,13 @@ class TestStoreBasics:
             calls.append(cwd)
             return ("abc123", False)
 
-        monkeypatch.setattr("repro.results.store.git_state", counting_git_state)
+        monkeypatch.setattr("repro.obs.store.git_state", counting_git_state)
         monkeypatch.chdir(tmp_path)
         for name in ("a.db", "b.db"):
             with ResultsStore(str(tmp_path / name)) as store:
                 store.ingest_study(small_study)
         # Probed once, from the package's directory, not the cwd.
-        assert calls == [os.path.dirname(os.path.abspath(results_store.__file__))]
+        assert calls == [os.path.dirname(os.path.abspath(obs_store.__file__))]
         conn = sqlite3.connect(str(tmp_path / "b.db"))
         assert conn.execute("SELECT git_rev FROM studies").fetchone()[0] == "abc123"
 

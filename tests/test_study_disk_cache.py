@@ -10,7 +10,8 @@ from repro.bricks.layout import BrickDims
 from repro.codegen import CodegenOptions, clear_codegen_memo, generate
 from repro.dsl.shapes import by_name
 from repro.harness import serialization
-from repro.results import RESULTS_SCHEMA_VERSION
+from repro.resilience import FaultPlan, FaultSpec
+from repro.results import RESULTS_SCHEMA_VERSION, ResultsStore
 
 SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
 
@@ -120,6 +121,53 @@ class TestDiskCache:
             harness.clear_study_cache()
         assert os.path.exists(serialization.study_cache_path(str(tmp_path)))
         assert not list(tmp_path.glob("*.pkl"))
+
+
+class TestOneStorePerSweep:
+    """A sweep's checkpoint flushes share one cache-store connection."""
+
+    @pytest.fixture
+    def connections(self, monkeypatch):
+        opened, closed = [], []
+        init, close = ResultsStore.__init__, ResultsStore.close
+
+        def counting_init(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            opened.append(store)
+
+        def counting_close(store):
+            closed.append(store)
+            close(store)
+
+        monkeypatch.setattr(ResultsStore, "__init__", counting_init)
+        monkeypatch.setattr(ResultsStore, "close", counting_close)
+        return opened, closed
+
+    def test_flushes_share_one_connection(self, tmp_path, connections, registry):
+        opened, closed = connections
+        study = harness.run_study(
+            SMALL, cache_dir=str(tmp_path), checkpoint_every=1
+        )
+        assert study.complete
+        assert registry.counter("study_cache.write_errors").value == 0
+        assert len(opened) == 1 and closed == opened
+        loaded = serialization.load_study_cache(SMALL, str(tmp_path))
+        assert loaded is not None and loaded.results == study.results
+
+    def test_interrupted_sweep_closes_its_connection(
+        self, tmp_path, connections
+    ):
+        opened, closed = connections
+        key = ("7pt", "A100-CUDA", "bricks_codegen")
+        plan = FaultPlan(faults=((key, FaultSpec("interrupt", failures=-1)),))
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_study(
+                SMALL, fault_plan=plan, cache_dir=str(tmp_path),
+                checkpoint_every=1,
+            )
+        assert len(opened) == 1 and closed == opened
+        done = serialization.load_study_checkpoint(SMALL, str(tmp_path))
+        assert done is not None and len(done) == len(SMALL.keys()) - 1
 
 
 class TestCliWarmCache:

@@ -89,6 +89,17 @@ class TestAutotuner:
         assert tuner.cache_size() == 2
         assert out.best_result.stencil_name == "swapped"
 
+    def test_cache_hit_carries_the_callers_name(self, tuner):
+        plat = gpu.platform("A100", "CUDA")
+        a = tuner.tune(dsl.star(1), plat, domain=(64, 64, 64), stencil_name="a")
+        size = tuner.cache_size()
+        b = tuner.tune(dsl.star(1), plat, domain=(64, 64, 64), stencil_name="b")
+        assert tuner.cache_size() == size  # a hit, not a second search
+        assert a.best_result.stencil_name == "a"
+        assert b.best_result.stencil_name == "b"
+        assert (b.best, b.ranking) == (a.best, a.ranking)
+        assert b.best_result.timing == a.best_result.timing
+
     def test_speedup_over(self, tuner):
         s = dsl.by_name("27pt").build()
         out = tuner.tune(s, gpu.platform("MI250X", "HIP"))
