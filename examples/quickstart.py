@@ -10,7 +10,6 @@ profiled on all five (GPU, programming model) platforms of the study.
 import numpy as np
 
 from repro import dsl, gpu, kernels
-from repro.profiling import profile
 from repro.reference import apply_interior, random_field
 
 
@@ -56,7 +55,7 @@ def main():
     for plat in gpu.study_platforms():
         for variant in gpu.VARIANTS:
             res = gpu.simulate(stencil, variant, plat, stencil_name="13pt")
-            print("  " + profile(res).row())
+            print(f"  {res.describe()}  {res.time_s * 1e3:7.3f} ms")
 
 
 if __name__ == "__main__":

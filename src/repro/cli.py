@@ -80,7 +80,6 @@ from repro.codegen import CodegenOptions, generate
 from repro.codegen.emitters import CPU_ISAS, MODELS, emit as emit_source
 from repro.dsl.shapes import by_name, catalog
 from repro.gpu.progmodel import PROFILES, VARIANTS, platform
-from repro.profiling import profile as collect_profile
 from repro.resilience import dev_fault_plan, retry_policy
 from repro.tuning import Autotuner
 
@@ -253,7 +252,8 @@ def _simulate(args) -> int:
         domain=tuple(args.domain),
         stencil_name=case.name,
     )
-    print(collect_profile(res).row())
+    print(f"{res.stencil_name}/{res.variant}: {res.time_s * 1e3:.3f} ms")
+    print("  " + res.describe())
     t = res.timing
     print(
         f"  breakdown: hbm {t.t_hbm * 1e3:.3f} ms, l1 {t.t_l1 * 1e3:.3f} ms, "

@@ -7,7 +7,7 @@ unique group plus NumPy array math, bit-identical to the scalar
 it for study items:
 
 * :func:`map_study_points` — one study's points, with failure capture
-  and the checkpoint hook (what :func:`repro.harness.run_study` calls);
+  (what :func:`repro.harness.run_study` calls);
 * :func:`microbatch_study_points` — several tenants' point lists fused
   into one batch call (the serving layer's micro-batching primitive).
 
@@ -100,7 +100,6 @@ def parallel_map(
 def map_study_points(
     items: Sequence[Any],
     *,
-    on_result: Optional[Callable[[int, Outcome], None]] = None,
     check_invariants: Optional[bool] = None,
 ) -> BatchResults:
     """Evaluate study items as one batch call, capturing failures.
@@ -108,14 +107,11 @@ def map_study_points(
     Returns the batch's :class:`~repro.gpu.batch.BatchResults`: one
     :class:`~repro.gpu.simulator.SimulationResult` or
     :class:`~repro.resilience.TaskFailure` per item, in item order,
-    each built from the evaluated columns only when read.
-    ``on_result`` fires as ``(index, result)`` in item order (the
-    checkpoint hook contract), as each chunk completes.  No retry
+    each built from the evaluated columns only when read.  No retry
     policy applies: the batch is deterministic pure math, and its
     failure records match what the policy would produce for the same
-    deterministic error.  Callers
-    route points carrying injected faults through
-    :func:`parallel_map` instead.
+    deterministic error.  Callers route points carrying injected
+    faults through :func:`parallel_map` instead.
     """
     from repro.gpu.batch import BatchPoint, simulate_batch
 
@@ -132,7 +128,6 @@ def map_study_points(
     return simulate_batch(
         points,
         capture_failures=True,
-        on_result=on_result,
         check_invariants=check_invariants,
     )
 

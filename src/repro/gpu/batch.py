@@ -49,9 +49,8 @@ per group and per-point work runs as array ops:
    the oracle.  A sweep that reads a few points pays for a few
    objects, not for 100k.
 
-Three paths still build results point by point, because their contract
-is per point: invariant validation, the ``on_result`` hook (fired in
-input order as each chunk completes) and the raise-on-earliest-failure
+Two paths still build results point by point, because their contract
+is per point: invariant validation and the raise-on-earliest-failure
 path.
 
 This is the one engine every analytic sweep runs on: the study
@@ -91,7 +90,7 @@ import struct
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat, starmap
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -543,7 +542,6 @@ def simulate_batch(
     check_invariants: Optional[bool] = None,
     capture_failures: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
-    on_result: Optional[Callable[[int, Outcome], None]] = None,
 ) -> BatchResults:
     """Simulate a matrix of points; bit-identical to a scalar loop.
 
@@ -557,9 +555,7 @@ def simulate_batch(
     raises, exactly like a scalar loop at that point.
 
     ``check_invariants`` mirrors :func:`~repro.gpu.simulator.simulate`
-    (``None`` defers to ``REPRO_VALIDATE``); ``on_result`` is called as
-    ``(index, result)`` in input order as each chunk completes — the
-    checkpoint hook.
+    (``None`` defers to ``REPRO_VALIDATE``).
 
     Retry policies do not apply inside the batch: the evaluation is
     deterministic pure math, so a transient fault can only come from the
@@ -599,9 +595,6 @@ def simulate_batch(
                 chunk, table.groups, gidx,
                 _rows(len(chunk), evaluated), columns, captured,
             )
-            if on_result is not None:
-                for i, result in enumerate(view):
-                    on_result(start + i, result)
         if sp is not None:
             sp.set_attr("groups", len(table))
         counter("sweep.batch.points").inc(len(points))

@@ -35,8 +35,6 @@ from repro.harness.figures import (
     render_fig7,
 )
 from repro.harness.reporting import (
-    FIELD_TYPES,
-    coerce_row,
     result_row,
     summary,
     to_csv,
@@ -46,11 +44,8 @@ from repro.harness.serialization import (
     CACHE_DIR_ENV,
     SCHEMA_VERSION,
     clear_study_checkpoint,
-    compare_rows,
     default_cache_dir,
     dump_study,
-    load_csv_rows,
-    load_rows,
     load_study_cache,
     load_study_checkpoint,
     save_study_cache,
@@ -74,7 +69,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CHECKPOINT_EVERY",
     "ExperimentConfig",
-    "FIELD_TYPES",
     "FailedPoint",
     "PortabilityTable",
     "RooflinePanel",
@@ -84,9 +78,7 @@ __all__ = [
     "cached_study",
     "clear_study_cache",
     "clear_study_checkpoint",
-    "coerce_row",
     "config_from_dict",
-    "load_csv_rows",
     "load_study_checkpoint",
     "save_study_checkpoint",
     "fig3",
@@ -98,11 +90,9 @@ __all__ = [
     "render_correlation",
     "render_fig4",
     "render_fig7",
-    "compare_rows",
     "correlation_ascii",
     "default_cache_dir",
     "dump_study",
-    "load_rows",
     "load_study_cache",
     "save_study_cache",
     "study_cache_key",

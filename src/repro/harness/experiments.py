@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
@@ -111,7 +111,8 @@ def config_from_dict(doc: Optional[Dict]) -> ExperimentConfig:
     malformed values raise :class:`~repro.errors.MetricError` so the
     HTTP layer can answer 400 instead of queueing a job that can only
     fail.  Stencil names, variants, and platform names are validated
-    here, at the boundary — a queued job must never die on a typo.
+    here, at the boundary — a queued job must never die on a typo — and
+    each may appear only once.
     """
     from repro.gpu.progmodel import VARIANTS
 
@@ -137,6 +138,10 @@ def config_from_dict(doc: Optional[Dict]) -> ExperimentConfig:
             isinstance(v, str) for v in value
         ):
             raise MetricError(f"config {name!r} must be a list of strings")
+        repeated = sorted({v for v in value if value.count(v) > 1})
+        if repeated:
+            # A repeated name makes fewer points than config.keys().
+            raise MetricError(f"config {name!r} repeats {repeated}")
     if not stencils or not variants:
         raise MetricError("config needs at least one stencil and one variant")
     bad_stencils = [s for s in stencils if s not in STENCIL_NAMES]
@@ -434,33 +439,28 @@ def run_study(
             cache_dir = None
         unflushed.clear()
 
-    def routed(indices: List[int]) -> Callable[[int, object], None]:
-        """An ``on_result`` hook for a sub-list of ``pending``."""
-
-        def on_result(j: int, result: object) -> None:
-            index = indices[j]
-            outcomes[index] = result
-            if not cache_dir or isinstance(result, TaskFailure):
-                return
-            unflushed[pending_keys[index]] = result
-            if len(unflushed) >= max(1, checkpoint_every):
-                checkpoint()
-
-        return on_result
+    def take(index: int, result: object) -> None:
+        """Record ``pending[index]``'s outcome; flush every few points."""
+        outcomes[index] = result
+        if not cache_dir or isinstance(result, TaskFailure):
+            return
+        unflushed[pending_keys[index]] = result
+        if len(unflushed) >= max(1, checkpoint_every):
+            checkpoint()
 
     try:
         with span("run_study", points=len(items), resumed=len(done)) as sp:
             if clean:
-                map_study_points(
-                    [pending[i] for i in clean], on_result=routed(clean)
-                )
+                entries = map_study_points([pending[i] for i in clean])
+                for index, result in zip(clean, entries):
+                    take(index, result)
             if faulty:
                 parallel_map(
                     fault_plan.wrap(simulate_point, key_fn=study_item_key),
                     [pending[i] for i in faulty],
                     policy=policy,
                     capture_failures=True,
-                    on_result=routed(faulty),
+                    on_result=lambda j, result: take(faulty[j], result),
                 )
             study = assemble_study(config, pending, outcomes, done)
             if study.failed and sp is not None:

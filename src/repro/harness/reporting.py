@@ -1,4 +1,10 @@
-"""CSV/text export of study results."""
+"""CSV/text export of study results.
+
+:func:`result_row` is the one flat row of a result: CSV export, the
+JSON study document and the golden baseline
+(:mod:`repro.validate.golden`, compared field by field over
+:data:`CSV_FIELDS`) all use it.
+"""
 
 from __future__ import annotations
 
@@ -22,51 +28,6 @@ CSV_FIELDS = (
     "bottleneck",
     "occupancy",
 )
-
-#: Python type of every row field — the single source of truth shared by
-#: the CSV loader (:func:`repro.harness.serialization.load_csv_rows`
-#: coerces text cells through it) and the SQLite result store
-#: (:mod:`repro.results` derives its column affinities from it).  CSV
-#: text must round-trip to *typed* values, or arithmetic over reloaded
-#: rows (``t1 - t0`` in ``compare_rows``) silently operates on strings.
-FIELD_TYPES = {
-    "stencil": str,
-    "platform": str,
-    "variant": str,
-    "strategy": str,
-    "time_ms": float,
-    "gflops": float,
-    "arithmetic_intensity": float,
-    "hbm_gbytes": float,
-    "l1_gbytes": float,
-    "bottleneck": str,
-    "occupancy": float,
-}
-
-assert set(FIELD_TYPES) == set(CSV_FIELDS), "FIELD_TYPES must cover CSV_FIELDS"
-
-
-def coerce_row(row: dict) -> dict:
-    """Coerce one CSV-shaped row to the types of :data:`FIELD_TYPES`.
-
-    Unknown fields pass through untouched; numeric fields that fail to
-    parse raise ``ValueError`` naming the field (a malformed cell must
-    never survive as a string that compares truthy).
-    """
-    out = {}
-    for name, value in row.items():
-        target = FIELD_TYPES.get(name)
-        if target is None or isinstance(value, target):
-            out[name] = value
-            continue
-        try:
-            out[name] = target(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"row field {name!r} = {value!r} is not a valid "
-                f"{target.__name__}"
-            ) from None
-    return out
 
 
 def result_row(r: SimulationResult) -> dict:

@@ -1,18 +1,16 @@
-"""JSON/CSV persistence for study results, with a schema round-trip guard.
+"""JSON export of study results, and the ``--cache-dir`` study store.
 
-Saves the flat result rows plus the sweep configuration, so analyses
-(or regression comparisons against a previous run) can reload a study
-without re-simulating.
-
-Two version stamps guard the round-trip:
+:func:`dump_study` writes the flat result rows plus the sweep
+configuration (CLI ``--json``; the serving layer sends the same
+document).  Two version stamps head the document:
 
 * ``format_version`` — the JSON container layout (top-level keys);
 * ``schema_version`` — the *row* schema (the CSV field set).  Bump it
-  whenever :data:`~repro.harness.reporting.CSV_FIELDS` changes meaning,
-  so stale baselines are rejected loudly instead of mis-compared.
+  whenever :data:`~repro.harness.reporting.CSV_FIELDS` changes meaning.
 
-CSV files carry no header beyond the field row itself; :func:`load_csv_rows`
-treats that header as the schema stamp and rejects mismatches.
+Both stamps are also hashed into :func:`study_cache_key`, so a bump
+orphans every cached study.  The golden baseline that pins the model's
+numbers is :mod:`repro.validate.golden`, not an export file.
 
 JSON and CSV are export formats.  The ``--cache-dir`` study cache and
 sweep checkpoints live in a SQLite result database
@@ -24,14 +22,13 @@ checkpoint.  Nothing here pickles.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import sqlite3
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
 
-from repro.errors import MetricError, ResultStoreError
+from repro.errors import ResultStoreError
 from repro.gpu.simulator import SimulationResult
 from repro.harness.experiments import (
     ExperimentConfig,
@@ -40,7 +37,7 @@ from repro.harness.experiments import (
     StudyResults,
     iter_results,
 )
-from repro.harness.reporting import CSV_FIELDS, coerce_row, result_row
+from repro.harness.reporting import result_row
 
 if TYPE_CHECKING:
     from repro.results.store import ResultsStore
@@ -81,7 +78,7 @@ def dump_study(study: StudyResults, path: str) -> None:
 
     Temp file + ``os.replace`` (the checkpoint pattern): a crash
     mid-write leaves the previous file intact instead of a truncated
-    JSON body that ``load_rows`` rejects with a confusing parse error.
+    JSON body.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -91,69 +88,6 @@ def dump_study(study: StudyResults, path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def load_rows(path: str) -> List[Dict]:
-    """Load the flat result rows of a saved study.
-
-    Rejects files whose container or row schema version does not match
-    this library's, so regression comparisons never silently mix
-    incompatible result generations.
-    """
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise MetricError(
-            f"unsupported study file version {doc.get('format_version')!r}"
-        )
-    schema = doc.get("schema_version")
-    if schema != SCHEMA_VERSION:
-        raise MetricError(
-            f"study row schema version {schema!r} does not match this "
-            f"library's {SCHEMA_VERSION}; re-run the study to regenerate"
-        )
-    rows = doc["results"]
-    for row in rows:
-        missing = set(CSV_FIELDS) - set(row)
-        if missing:
-            raise MetricError(f"saved row missing fields {sorted(missing)}")
-    return rows
-
-
-def load_csv_rows(path: str) -> List[Dict]:
-    """Load rows from :func:`~repro.harness.reporting.write_csv` output.
-
-    The header row doubles as the schema stamp: it must match
-    ``CSV_FIELDS`` exactly (same names, same order), otherwise the file
-    was written by a different schema generation and is rejected.
-
-    Cells come back *typed* (via the shared
-    :data:`~repro.harness.reporting.FIELD_TYPES` map): CSV text like
-    ``"0.0"`` is coerced to ``0.0``, so reloaded rows behave like the
-    rows :func:`~repro.harness.reporting.result_row` produced —
-    arithmetic and truthiness in :func:`compare_rows` work instead of
-    crashing on strings (or treating ``"0.0"`` as truthy).  A cell that
-    cannot be coerced is a corrupt file and raises
-    :class:`~repro.errors.MetricError` naming the row.
-    """
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MetricError(f"{path}: empty CSV (no header row)") from None
-        if tuple(header) != CSV_FIELDS:
-            raise MetricError(
-                f"{path}: CSV header {header} does not match schema "
-                f"version {SCHEMA_VERSION} fields {list(CSV_FIELDS)}"
-            )
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                rows.append(coerce_row(dict(zip(CSV_FIELDS, raw))))
-            except ValueError as exc:
-                raise MetricError(f"{path}:{lineno}: {exc}") from None
-        return rows
 
 
 # ---- the --cache-dir study store ------------------------------------------
@@ -301,48 +235,3 @@ def clear_study_checkpoint(config: ExperimentConfig, cache_dir: str) -> None:
         record = store.study_record(config)
         if record is not None and not record.complete:
             store.delete_study(record.study_id)
-
-
-def compare_rows(old: List[Dict], new: List[Dict], rtol: float = 0.02) -> List[str]:
-    """Regression check: report rows whose time drifted beyond ``rtol``.
-
-    Returns human-readable difference descriptions (empty = no drift).
-
-    Rows are keyed by (stencil, platform, variant, **strategy**): a
-    study that carries several codegen strategies per matrix point
-    (tuning sweeps, ablations) compares every row rather than silently
-    shadowing all but the last one under a too-coarse key.  Times are
-    coerced to floats, so the comparison works on raw
-    :func:`load_csv_rows` output and hand-built string rows alike.  A
-    zero-time baseline row is *reported*, not skipped: relative drift
-    is undefined there, and a baseline of 0 ms is itself a fact the
-    regression check must surface.
-    """
-    def key(row):
-        return (
-            row["stencil"], row["platform"], row["variant"],
-            row.get("strategy", ""),
-        )
-
-    old_map = {key(r): r for r in old}
-    new_map = {key(r): r for r in new}
-    diffs = []
-    for k in sorted(set(old_map) | set(new_map)):
-        if k not in old_map:
-            diffs.append(f"{k}: new result (not in baseline)")
-            continue
-        if k not in new_map:
-            diffs.append(f"{k}: missing from new run")
-            continue
-        t0 = float(old_map[k]["time_ms"])
-        t1 = float(new_map[k]["time_ms"])
-        if t0 == 0.0:
-            if t1 != 0.0:
-                diffs.append(
-                    f"{k}: baseline time is 0 ms (relative drift "
-                    f"undefined); new time {t1} ms"
-                )
-            continue
-        if abs(t1 - t0) / t0 > rtol:
-            diffs.append(f"{k}: time {t0} ms -> {t1} ms")
-    return diffs

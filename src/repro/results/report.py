@@ -33,8 +33,6 @@ from repro.harness.figures import (
     render_fig4_data,
     render_fig7_data,
 )
-from repro.harness.reporting import result_row
-from repro.harness.serialization import compare_rows
 from repro.harness.tables import (
     PortabilityTable,
     render_table2,
@@ -56,7 +54,12 @@ from repro.validate.claims import (
     evaluate,
     is_paper_matrix,
 )
-from repro.validate.golden import DEFAULT_GOLDEN_PATH, config_doc, load_golden
+from repro.validate.golden import (
+    DEFAULT_GOLDEN_PATH,
+    check_golden,
+    config_doc,
+    load_golden,
+)
 
 if TYPE_CHECKING:
     from repro.results.provider import DirectProvider, StoreProvider
@@ -133,10 +136,11 @@ def figures_txt(study: StudyResults, ev: Optional[Evidence] = None) -> str:
 def drift_md(study: StudyResults, golden_path: str = DEFAULT_GOLDEN_PATH) -> str:
     """Drift commentary: this study's rows vs the golden baseline.
 
-    Rendered through :func:`~repro.harness.serialization.compare_rows`
-    (time drift beyond 2%) plus a field-count summary, so the artifact
-    both states "no drift" affirmatively and names every drifted row
-    when the model moved.
+    Rendered from :func:`~repro.validate.golden.check_golden`, the
+    field-by-field comparison ``repro-stencil validate`` gates on, so
+    the artifact both states "no drift" affirmatively and names every
+    drifted row and field when the model moved.  A study over another
+    matrix is reported as such before any row is built.
     """
     lines = ["# Drift vs golden baseline", ""]
     golden = load_golden(golden_path)
@@ -155,19 +159,14 @@ def drift_md(study: StudyResults, golden_path: str = DEFAULT_GOLDEN_PATH) -> str
         lines.append(f"- baseline config: `{golden.get('config', {})}`")
         lines.append(f"- study config: `{ours}`")
     else:
-        golden_rows = list(golden.get("rows", {}).values())
-        current_rows = [result_row(r) for r in study.results.values()]
-        diffs = compare_rows(golden_rows, current_rows)
-        if not diffs:
-            lines.append(
-                f"No time drift beyond 2% across {len(current_rows)} matrix "
-                "points."
-            )
+        violations, _ = check_golden(study, golden_path)
+        if not violations:
+            lines.append(f"No drift across {len(study.results)} matrix points.")
         else:
-            lines.append(f"{len(diffs)} drifted row(s):")
+            lines.append(f"{len(violations)} drifted row(s):")
             lines.append("")
-            for d in diffs:
-                lines.append(f"- {d}")
+            for v in violations:
+                lines.append(f"- {v.point}: {v.message}")
     if study.failed:
         lines.append("")
         lines.append(f"{len(study.failed)} point(s) failed to simulate:")

@@ -390,24 +390,6 @@ class TestBatchFailureSemantics:
         simulate_batch([bad], capture_failures=True, check_invariants=False)
         assert registry.counter("simulate.calls").value == 0
 
-    def test_on_result_fires_in_order(self):
-        stencil = by_name("7pt").build()
-        plat = platform("A100", "CUDA")
-        points = [
-            BatchPoint(
-                stencil=stencil, variant=v, platform=plat,
-                domain=(64, 64, 64),
-            )
-            for v in VARIANTS
-        ]
-        seen = []
-        out = simulate_batch(
-            points, check_invariants=False, chunk_size=2,
-            on_result=lambda i, r: seen.append((i, r)),
-        )
-        assert [i for i, _ in seen] == [0, 1, 2]
-        assert [r for _, r in seen] == out
-
 
 class TestTuningDispatch:
     def test_tune_equals_scalar_loop(self, registry):

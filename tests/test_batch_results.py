@@ -214,15 +214,6 @@ class TestSequence:
         assert all(isinstance(r, TaskFailure) for r in out)
         assert out == _scalar_captured(points, None)
 
-    def test_hook_sees_the_returned_entries_in_order(self):
-        seen = []
-        out = simulate_batch(
-            _points(), capture_failures=True, check_invariants=False,
-            chunk_size=3, on_result=lambda i, r: seen.append((i, r)),
-        )
-        assert [i for i, _ in seen] == list(range(len(DOMAINS)))
-        assert [r for _, r in seen] == out
-
 
 class TestLaziness:
     def test_plain_sweep_builds_no_results(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for ASCII plots and study serialization."""
 
+import json
+
 import pytest
 
 from repro import harness
@@ -67,34 +69,6 @@ class TestSerialization:
     def test_roundtrip(self, study, tmp_path):
         path = tmp_path / "study.json"
         harness.dump_study(study, str(path))
-        rows = harness.load_rows(str(path))
+        rows = json.loads(path.read_text())["results"]
         assert len(rows) == len(study)
         assert {r["stencil"] for r in rows} == {"7pt", "27pt"}
-
-    def test_bad_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "results": []}')
-        with pytest.raises(MetricError):
-            harness.load_rows(str(path))
-
-    def test_compare_rows_no_drift(self, study, tmp_path):
-        path = tmp_path / "s.json"
-        harness.dump_study(study, str(path))
-        rows = harness.load_rows(str(path))
-        assert harness.compare_rows(rows, rows) == []
-
-    def test_compare_rows_detects_drift(self, study, tmp_path):
-        path = tmp_path / "s.json"
-        harness.dump_study(study, str(path))
-        rows = harness.load_rows(str(path))
-        drifted = [dict(r) for r in rows]
-        drifted[0]["time_ms"] = drifted[0]["time_ms"] * 2
-        diffs = harness.compare_rows(rows, drifted)
-        assert len(diffs) == 1 and "time" in diffs[0]
-
-    def test_compare_rows_detects_missing(self, study, tmp_path):
-        path = tmp_path / "s.json"
-        harness.dump_study(study, str(path))
-        rows = harness.load_rows(str(path))
-        diffs = harness.compare_rows(rows, rows[:-1])
-        assert any("missing" in d for d in diffs)

@@ -1,5 +1,6 @@
 """Tests for the SQLite result store, report sources, and report generation."""
 
+import json
 import os
 import sqlite3
 
@@ -24,6 +25,8 @@ from repro.results import (
     resolve_results_db,
     write_report,
 )
+from repro.results.report import drift_md
+from repro.validate.golden import write_golden
 
 SMALL = ExperimentConfig(stencils=("7pt",), variants=("array",), domain=(64, 64, 64))
 TWO = ExperimentConfig(
@@ -334,6 +337,30 @@ class TestReport:
         # The golden baseline pins the full 512^3 matrix, not this subset.
         direct = generate_report(DirectProvider(two_study))
         assert "different matrix" in direct["DRIFT.md"]
+
+    def test_drift_against_own_golden_is_clean(self, two_study, tmp_path):
+        path = str(tmp_path / "golden.json")
+        write_golden(two_study, path)
+        text = drift_md(two_study, golden_path=path)
+        assert f"No drift across {len(two_study)} matrix points." in text
+
+    @pytest.mark.parametrize("field,value", [("gflops", 1.0), ("bottleneck", "fp")])
+    def test_drift_names_a_perturbed_row_and_field(
+        self, two_study, tmp_path, field, value
+    ):
+        # Only a non-time field moves: the drift check must still see it.
+        path = tmp_path / "golden.json"
+        write_golden(two_study, str(path))
+        doc = json.loads(path.read_text())
+        key = "27pt/A100-CUDA/bricks_codegen"
+        assert doc["rows"][key][field] != value
+        doc["rows"][key][field] = value
+        path.write_text(json.dumps(doc))
+        text = drift_md(two_study, golden_path=str(path))
+        assert "1 drifted row(s):" in text
+        drifted = [line for line in text.splitlines() if line.startswith("- ")]
+        assert len(drifted) == 1
+        assert drifted[0].startswith(f"- {key}: {field}: golden {value!r}")
 
     def test_no_golden_skips_drift(self, two_study):
         artifacts = generate_report(DirectProvider(two_study), golden_path=None)

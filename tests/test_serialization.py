@@ -1,15 +1,7 @@
-"""Regression tests for the serialization bugfixes.
+"""Regression tests for the JSON study export.
 
-Three former bugs, each pinned here:
-
-* ``load_csv_rows`` returned every cell as a string, so ``compare_rows``
-  crashed with ``TypeError`` on CSV-loaded baselines (and ``"0.0"``
-  compared truthy);
-* ``compare_rows`` keyed rows without ``strategy``, so multi-strategy
-  studies silently shadowed all but the last row per matrix point, and
-  zero-time baselines were silently skipped;
-* ``dump_study`` wrote its target in place, so a crash mid-write left a
-  truncated, unparseable baseline behind.
+``dump_study`` once wrote its target in place, so a crash mid-write left
+a truncated, unparseable file behind.
 """
 
 import json
@@ -18,8 +10,6 @@ import os
 import pytest
 
 from repro import harness
-from repro.errors import MetricError
-from repro.harness.reporting import FIELD_TYPES, coerce_row
 
 
 @pytest.fixture(scope="module")
@@ -27,77 +17,6 @@ def study():
     return harness.run_study(
         harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
     )
-
-
-class TestTypedCsvRoundtrip:
-    def test_csv_rows_are_typed(self, study, tmp_path):
-        path = tmp_path / "s.csv"
-        harness.write_csv(study, str(path))
-        rows = harness.load_csv_rows(str(path))
-        assert rows, "sweep produced no rows"
-        for row in rows:
-            for name, target in FIELD_TYPES.items():
-                assert isinstance(row[name], target), (name, row[name])
-
-    def test_json_csv_compare_roundtrip(self, study, tmp_path):
-        """JSON -> CSV -> compare_rows: the original TypeError scenario."""
-        jpath, cpath = tmp_path / "s.json", tmp_path / "s.csv"
-        harness.dump_study(study, str(jpath))
-        harness.write_csv(study, str(cpath))
-        json_rows = harness.load_rows(str(jpath))
-        csv_rows = harness.load_csv_rows(str(cpath))
-        assert harness.compare_rows(json_rows, csv_rows) == []
-        assert harness.compare_rows(csv_rows, json_rows) == []
-
-    def test_malformed_cell_names_line_and_field(self, study, tmp_path):
-        path = tmp_path / "s.csv"
-        harness.write_csv(study, str(path))
-        lines = path.read_text().splitlines()
-        broken = lines[1].split(",")
-        broken[4] = "not-a-number"  # time_ms
-        lines[1] = ",".join(broken)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MetricError, match=r":2:.*time_ms"):
-            harness.load_csv_rows(str(path))
-
-    def test_coerce_row_passes_unknown_fields_through(self):
-        row = coerce_row({"time_ms": "1.5", "custom": "keep-me"})
-        assert row == {"time_ms": 1.5, "custom": "keep-me"}
-
-
-class TestCompareRowsKeying:
-    @staticmethod
-    def _row(strategy, time_ms):
-        return {
-            "stencil": "7pt", "platform": "A100-CUDA", "variant":
-            "bricks_codegen", "strategy": strategy, "time_ms": time_ms,
-        }
-
-    def test_multi_strategy_rows_do_not_collide(self):
-        """Two strategies per matrix point: each is compared, none shadowed."""
-        old = [self._row("gather", 1.0), self._row("scatter", 2.0)]
-        new = [self._row("gather", 10.0), self._row("scatter", 2.0)]
-        diffs = harness.compare_rows(old, new)
-        assert len(diffs) == 1
-        assert "gather" in diffs[0]
-
-    def test_string_times_compare_numerically(self):
-        """CSV-shaped string cells must not crash (the old TypeError)."""
-        old = [self._row("gather", "1.0")]
-        new = [self._row("gather", "1.001")]
-        assert harness.compare_rows(old, new) == []
-
-    def test_zero_baseline_reported_not_skipped(self):
-        old = [self._row("gather", 0.0)]
-        new = [self._row("gather", 5.0)]
-        diffs = harness.compare_rows(old, new)
-        assert len(diffs) == 1
-        assert "baseline time is 0 ms" in diffs[0]
-
-    def test_zero_baseline_zero_current_ok(self):
-        old = [self._row("gather", 0.0)]
-        new = [self._row("gather", "0.0")]  # truthy string, falsy value
-        assert harness.compare_rows(old, new) == []
 
 
 class TestAtomicDump:
@@ -121,4 +40,4 @@ class TestAtomicDump:
     def test_dump_creates_fresh_file(self, study, tmp_path):
         path = tmp_path / "fresh.json"
         harness.dump_study(study, str(path))
-        assert len(harness.load_rows(str(path))) == len(study)
+        assert len(json.loads(path.read_text())["results"]) == len(study)

@@ -141,6 +141,13 @@ class TestErrorContract:
         with pytest.raises(ServeError, match=r"400.*domain"):
             client.submit(doc)
 
+    def test_repeated_stencil_is_400(self, service):
+        client, _ = service
+        doc = {"stencils": ["7pt", "7pt"], "variants": ["array"],
+               "domain": [64, 64, 64]}
+        with pytest.raises(ServeError, match=r"400.*stencils.*repeats"):
+            client.submit(doc)
+
     def test_unknown_option_is_400(self, service):
         client, _ = service
         for options in ({"priority": "high"}, {"dispatch": "serial"}):

@@ -1,5 +1,6 @@
 """Serving core: job lifecycle, queue backpressure, store, orchestrator."""
 
+import re
 import time
 
 import pytest
@@ -486,3 +487,15 @@ class TestConfigFromDict:
     def test_boolean_extent_is_rejected(self, domain):
         with pytest.raises(MetricError, match="domain"):
             config_from_dict({"domain": domain})
+
+    @pytest.mark.parametrize("field,names", [
+        ("stencils", ["7pt", "13pt", "7pt"]),
+        ("variants", ["array", "array"]),
+        ("platforms", ["A100-CUDA", "PVC-SYCL", "A100-CUDA"]),
+    ])
+    def test_repeated_name_is_rejected(self, field, names):
+        doc = {"stencils": ["7pt"], "variants": ["array"],
+               "domain": [64, 64, 64], field: names}
+        repeated = re.escape(f"config '{field}' repeats {[names[0]]}")
+        with pytest.raises(MetricError, match=repeated):
+            config_from_dict(doc)

@@ -121,3 +121,13 @@ class TestOrderings:
         naive = sim(name, "array", plat)
         bricks = sim(name, "bricks_codegen", plat)
         assert naive.traffic.l1_bytes > bricks.traffic.l1_bytes
+
+
+class TestNormalisedFlops:
+    def test_normalized_flops_identical_across_variants(self):
+        # Paper Section 4.4: the same FLOP count for all kernels of a
+        # stencil, so AI differences reflect data movement only.
+        for name in NAMES:
+            for plat in PLATFORMS:
+                flops = {sim(name, v, plat).flops for v in gpu.VARIANTS}
+                assert len(flops) == 1, (name, plat, flops)
